@@ -51,8 +51,6 @@ def _labeling(target: str, n: int, poset: FinitePoset, scheme: str) -> EdgeLabel
         return parking_labeling(poset)
     if scheme == "usual":
         return usual_labeling(poset)
-    if target == "pi":
-        raise click.UsageError("left-modular labeling is not provided for 'pi'")
     if target == "pe-pchn":
         dref = build_pe_dref(n)
         lam = left_modular_labeling(dref, distinguished_chain(n).elements)
@@ -129,6 +127,9 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
     skipped under 'all' for pe-pchn.
     """
     started = time.monotonic()
+    if target == "pe-pchn" and suite == "leftmod":
+        raise click.UsageError(
+            "left-modularity needs a lattice; pe-pchn is not one for n>=5")
     poset = _build(target, n)
     verdicts: dict[str, object] = {}
     tables = None
@@ -142,14 +143,9 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
             }
     if suite in ("graded", "all"):
         verdicts["graded"] = poset.is_graded()[0]
-    if suite in ("leftmod", "all"):
-        if target == "pe-pchn":
-            if suite == "leftmod":
-                raise click.UsageError(
-                    "left-modularity needs a lattice; pe-pchn is not one for n>=5")
-        elif tables is not None and tables.is_lattice:
-            chain = [poset.index(x) for x in distinguished_chain(n).elements]
-            verdicts["left_modular_chain"] = poset.is_left_modular_chain(chain, tables)
+    if suite in ("leftmod", "all") and target != "pe-pchn" and tables.is_lattice:
+        chain = [poset.index(x) for x in distinguished_chain(n).elements]
+        verdicts["left_modular_chain"] = poset.is_left_modular_chain(chain, tables)
     if suite in ("el", "sn-el", "all"):
         lam = _labeling(target, n, poset, "leftmod")
         if suite in ("el", "all"):

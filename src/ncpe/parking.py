@@ -76,29 +76,13 @@ def count_D(n: int) -> int:
     count from bottom to top through the covers not labeled n-1."""
     _check_n(n)
     p = build_nc(n)
-    up, _ = _path_counts(p, _retained_covers(p, n))
+    up, _ = p.path_counts(_retained_covers(p, n))
     return up[p.top]
 
 
 def _retained_covers(p: FinitePoset, n: int) -> list[tuple[int, int]]:
     return [(i, j) for i, j in p.covers
             if parking_label(p.keys[i], p.keys[j]) != n - 1]
-
-
-def _path_counts(p: FinitePoset, covers: list[tuple[int, int]]
-                 ) -> tuple[list[int], list[int]]:
-    """Per element: number of retained-cover paths from the bottom, and
-    to the top."""
-    size = len(p.keys)
-    up = [0] * size
-    down = [0] * size
-    up[p.bottom] = 1
-    down[p.top] = 1
-    for i, j in sorted(covers, key=lambda c: int(p.height[c[0]])):
-        up[j] += up[i]
-    for i, j in sorted(covers, key=lambda c: -int(p.height[c[1]])):
-        down[i] += down[j]
-    return up, down
 
 
 def build_pe_pchn(n: int) -> FinitePoset:
@@ -113,7 +97,7 @@ def build_pe_pchn(n: int) -> FinitePoset:
     _check_n(n)
     p = build_nc(n)
     retained = _retained_covers(p, n)
-    up, down = _path_counts(p, retained)
+    up, down = p.path_counts(retained)
     on_chain = [(i, j) for i, j in retained if up[i] > 0 and down[j] > 0]
     elements = sorted({v for c in on_chain for v in c})
     if {p.keys[v] for v in elements} != set(pe_members(n)):

@@ -52,8 +52,7 @@ class FinitePoset:
         for i, a in enumerate(keys):
             for j, b in enumerate(keys):
                 leq[i, j] = leq_fn(a, b)
-        cls._check_partial_order(keys, leq)
-        return cls(keys, leq, _transitive_reduction(leq))
+        return cls.from_leq_matrix(keys, leq)
 
     @classmethod
     def from_leq_matrix(cls, keys: Sequence[Hashable], leq: np.ndarray) -> "FinitePoset":
@@ -62,14 +61,13 @@ class FinitePoset:
 
     @classmethod
     def from_covers(cls, keys: Sequence[Hashable],
-                    cover_pairs: Iterable[tuple[int, int]],
-                    validate: bool | None = None) -> "FinitePoset":
+                    cover_pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
         """Build from cover index pairs (i, j) meaning key[i] is covered
         by key[j]; the order is the reflexive-transitive closure.
 
-        validate=True additionally recomputes the transitive reduction
-        and insists the given covers match (defaults to on for posets of
-        at most 2000 elements, where the cubic check is cheap).
+        The covers are always validated: a given pair (i, j) is rejected
+        when another given upper cover w of i has w <= j, which holds
+        exactly when the pair is not in the transitive reduction.
         """
         keys = tuple(keys)
         n = len(keys)
@@ -88,12 +86,16 @@ class FinitePoset:
             leq[v, v] = True
             for w in up[v]:
                 leq[v] |= leq[w]
-        if validate is None:
-            validate = n <= 2000
-        if validate:
-            red = _transitive_reduction(leq)
-            if sorted(red) != covers:
-                raise PosetError("given covers are not the transitive reduction")
+        for i in range(n):
+            if len(up[i]) > 1:
+                between = leq[up[i]][:, up[i]]
+                np.fill_diagonal(between, False)
+                if between.any():
+                    a, b = np.argwhere(between)[0]
+                    w, j = up[i][a], up[i][b]
+                    raise PosetError(
+                        f"({keys[i]!r}, {keys[j]!r}) is not a cover: "
+                        f"{keys[w]!r} lies strictly between")
         return cls(keys, leq, covers)
 
     @staticmethod
@@ -106,7 +108,7 @@ class FinitePoset:
         if sym.any():
             i, j = map(int, np.argwhere(sym)[0])
             raise PosetError(f"antisymmetry fails on ({keys[i]!r}, {keys[j]!r})")
-        closed = leq.astype(np.uint8) @ leq.astype(np.uint8) > 0
+        closed = leq @ leq  # boolean product: no count that can wrap
         bad = closed & ~leq
         if bad.any():
             i, j = map(int, np.argwhere(bad)[0])
@@ -173,70 +175,52 @@ class FinitePoset:
 
     # -- chains ----------------------------------------------------------
 
-    def maximal_chains(self) -> list[tuple[int, ...]]:
-        """All bottom-to-top saturated chains as index tuples, emitted in
-        lexicographic order of element indices."""
-        bot, top = self._require_bounded()
-        out: list[tuple[int, ...]] = []
-        stack = [bot]
-
-        def dfs(v: int) -> None:
-            if v == top:
-                out.append(tuple(stack))
-                return
-            for w in self.upper_covers[v]:
-                stack.append(w)
-                dfs(w)
-                stack.pop()
-
-        dfs(bot)
-        return out
-
-    def iter_maximal_chains(self) -> Iterator[tuple[int, ...]]:
-        bot, top = self._require_bounded()
-        stack = [bot]
-
-        def dfs(v: int) -> Iterator[tuple[int, ...]]:
-            if v == top:
-                yield tuple(stack)
-                return
-            for w in self.upper_covers[v]:
-                stack.append(w)
-                yield from dfs(w)
-                stack.pop()
-
-        yield from dfs(bot)
-
-    def count_maximal_chains(self) -> int:
-        """Number of maximal chains without materializing them."""
-        bot, top = self._require_bounded()
-        paths = [0] * len(self.keys)
-        paths[bot] = 1
-        for v in self._topo:
-            for w in self.upper_covers[v]:
-                paths[w] += paths[v]
-        return paths[top]
-
-    def interval_maximal_chains(self, x: int, y: int) -> list[tuple[int, ...]]:
-        """All saturated x-to-y chains (covers of the interval coincide
-        with covers of the full poset)."""
-        if not self.leq[x, y]:
-            raise PosetError("not a comparable pair")
-        out: list[tuple[int, ...]] = []
+    def _saturated_chains(self, x: int, y: int) -> Iterator[tuple[int, ...]]:
+        """All saturated x-to-y chains as index tuples, in lexicographic
+        order of element indices (covers of an interval coincide with
+        covers of the full poset)."""
+        up, leq = self.upper_covers, self.leq
         stack = [x]
 
-        def dfs(v: int) -> None:
+        def dfs(v: int) -> Iterator[tuple[int, ...]]:
             if v == y:
-                out.append(tuple(stack))
+                yield tuple(stack)
                 return
-            for w in self.upper_covers[v]:
-                if self.leq[w, y]:
+            for w in up[v]:
+                if leq[w, y]:
                     stack.append(w)
-                    dfs(w)
+                    yield from dfs(w)
                     stack.pop()
 
-        dfs(x)
-        return out
+        return dfs(x)
+
+    def iter_maximal_chains(self) -> Iterator[tuple[int, ...]]:
+        """All bottom-to-top saturated chains, lexicographically."""
+        bot, top = self._require_bounded()
+        yield from self._saturated_chains(bot, top)
+
+    def interval_maximal_chains(self, x: int, y: int) -> list[tuple[int, ...]]:
+        """All saturated x-to-y chains, lexicographically."""
+        if not self.leq[x, y]:
+            raise PosetError("not a comparable pair")
+        return list(self._saturated_chains(x, y))
+
+    def path_counts(self, covers: Sequence[tuple[int, int]]
+                    ) -> tuple[list[int], list[int]]:
+        """Per element: the number of paths along the given covers from
+        the bottom, and to the top.  With covers=self.covers the top entry
+        of the first list is the number of maximal chains."""
+        bot, top = self._require_bounded()
+        h = self.height
+        up = [0] * len(self.keys)
+        down = [0] * len(self.keys)
+        up[bot] = 1
+        down[top] = 1
+        for i, j in sorted(covers, key=lambda c: int(h[c[0]])):
+            up[j] += up[i]
+        for i, j in sorted(covers, key=lambda c: -int(h[c[1]])):
+            down[i] += down[j]
+        return up, down
 
     # -- gradedness and rank ----------------------------------------------
 
@@ -244,17 +228,8 @@ class FinitePoset:
         """True iff all maximal chains have equal length; on success also
         the rank function (length of any bottom-to-x saturated chain)."""
         self._require_bounded()
-        n = len(self.keys)
-        lo = np.full(n, -1, dtype=np.int64)  # shortest chain from bottom
-        lo[self.bottom] = 0
-        for v in self._topo:
-            for w in self.upper_covers[v]:
-                if lo[w] < 0 or lo[v] + 1 < lo[w]:
-                    lo[w] = lo[v] + 1
-        # graded iff for every cover the height step is exactly one and
-        # shortest/longest bottom distances agree everywhere
-        if not np.array_equal(lo, self.height):
-            return False, None
+        # with a single bottom, unit height steps on every cover make each
+        # bottom-to-x saturated chain have length height[x]
         if any(self.height[j] != self.height[i] + 1 for i, j in self.covers):
             return False, None
         return True, self.height.copy()
@@ -266,33 +241,28 @@ class FinitePoset:
     # -- Moebius function --------------------------------------------------
 
     def moebius(self) -> "MoebiusTable":
-        """Moebius values for all comparable pairs, by the standard
-        recursion evaluated in decreasing height order below each y."""
-        n = len(self.keys)
+        """Moebius values for all comparable pairs."""
         values: dict[tuple[int, int], int] = {}
-        leq = self.leq
-        for y in range(n):
-            below = np.flatnonzero(leq[:, y])
-            mu: dict[int, int] = {y: 1}
-            for x in sorted(below, key=lambda v: -int(self.height[v])):
-                if x == y:
-                    continue
-                s = sum(mu[z] for z in below if leq[x, z] and z != x and z in mu)
-                mu[x] = -s
-            for x, v in mu.items():
+        for y in range(len(self.keys)):
+            for x, v in self._moebius_to(y).items():
                 values[(x, y)] = v
         return MoebiusTable(self, values)
 
     def moebius_bottom_top(self) -> int:
         bot, top = self._require_bounded()
+        return self._moebius_to(top)[bot]
+
+    def _moebius_to(self, y: int) -> dict[int, int]:
+        """mu(x, y) for every x <= y by the standard recursion
+        mu(x, y) = -sum_{x < z <= y} mu(z, y), in decreasing height order:
+        every such z is higher than x, so its value is already known."""
         leq = self.leq
-        below = np.flatnonzero(leq[:, top])
-        mu: dict[int, int] = {top: 1}
+        below = np.flatnonzero(leq[:, y])
+        mu: dict[int, int] = {y: 1}
         for x in sorted(below, key=lambda v: -int(self.height[v])):
-            if x == top:
-                continue
-            mu[x] = -sum(mu[z] for z in below if leq[x, z] and z != x)
-        return mu[bot]
+            if x != y:
+                mu[x] = -sum(mu[z] for z in below if leq[x, z] and z != x)
+        return mu
 
     # -- lattice structure ---------------------------------------------------
 
@@ -396,7 +366,7 @@ def _unique_extremum(mask: np.ndarray, height: np.ndarray,
 def _transitive_reduction(leq: np.ndarray) -> list[tuple[int, int]]:
     n = leq.shape[0]
     strict = leq & ~np.eye(n, dtype=bool)
-    composed = strict.astype(np.uint8) @ strict.astype(np.uint8) > 0
+    composed = strict @ strict
     red = strict & ~composed
     return sorted((int(i), int(j)) for i, j in np.argwhere(red))
 

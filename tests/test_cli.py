@@ -66,7 +66,11 @@ class TestVerify:
         assert report["verdicts"]["lattice"] is False
         assert len(report["verdicts"]["lattice_witness"]["pair"]) == 2
 
-    def test_leftmod_on_pchn_rejected(self, runner):
+    def test_leftmod_on_pchn_rejected(self, runner, monkeypatch):
+        def no_build(target, n):
+            raise AssertionError("poset built before the usage check")
+
+        monkeypatch.setattr("ncpe.cli._build", no_build)
         result = runner.invoke(
             main, ["verify", "-n", "5", "--target", "pe-pchn",
                    "--suite", "leftmod"])

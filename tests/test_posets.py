@@ -4,6 +4,8 @@ lattice and modularity checks."""
 import numpy as np
 import pytest
 
+from ncpe.builders import build_nc, build_pe_dref
+from ncpe.parking import build_pe_pchn
 from ncpe.posets import (FinitePoset, PosetError, certify_supersolvable,
                          direct_product)
 
@@ -25,6 +27,31 @@ def divisors_poset(m: int) -> FinitePoset:
     return FinitePoset.from_order_oracle(divs, lambda a, b: b % a == 0)
 
 
+def chain_leq(n: int) -> np.ndarray:
+    return np.triu(np.ones((n, n), dtype=bool))
+
+
+def witnesses_leq(k: int) -> np.ndarray:
+    """0 <= z <= k+1 for the k middle elements z, but not 0 <= k+1: a
+    transitivity failure with exactly k witnesses."""
+    leq = np.eye(k + 2, dtype=bool)
+    leq[0, 1:k + 1] = True
+    leq[1:k + 1, k + 1] = True
+    return leq
+
+
+def chain_with_shortcut(n: int) -> FinitePoset:
+    return FinitePoset.from_covers(
+        range(n), [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+
+
+@pytest.fixture(scope="module", ids=["nc5", "pe-dref6", "pe-pchn6"],
+                params=[(build_nc, 5), (build_pe_dref, 6), (build_pe_pchn, 6)])
+def real_poset(request):
+    build, n = request.param
+    return build(n)
+
+
 class TestConstruction:
     def test_from_order_oracle_matches_covers(self):
         p = divisors_poset(12)
@@ -39,6 +66,22 @@ class TestConstruction:
     def test_from_covers_rejects_redundant_edge(self):
         with pytest.raises(PosetError):
             FinitePoset.from_covers([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+
+    @pytest.mark.parametrize("build, covers", [
+        (lambda: FinitePoset.from_leq_matrix(range(258), chain_leq(258)), 257),
+        (lambda: FinitePoset.from_leq_matrix(range(258), witnesses_leq(256)), None),
+        (lambda: chain_with_shortcut(258), None),
+        (lambda: chain_with_shortcut(2001), None),
+    ], ids=["chain-258", "witnesses-256", "shortcut-258", "shortcut-2001"])
+    def test_exact_at_every_size(self, build, covers):
+        """256 paths between two elements (where a uint8 count wraps to
+        0) and more than 2000 elements are handled like small cases;
+        covers=None means the input must be rejected."""
+        if covers is None:
+            with pytest.raises(PosetError):
+                build()
+        else:
+            assert len(build().covers) == covers
 
     def test_transitive_reduction_recomputation(self):
         for p in (N5, M3, divisors_poset(60)):
@@ -58,9 +101,14 @@ class TestConstruction:
 
 class TestChainsAndGrading:
     def test_maximal_chains_pentagon(self):
-        assert N5.maximal_chains() == [(0, 1, 3, 4), (0, 2, 4)]
-        assert N5.count_maximal_chains() == 2
-        assert list(N5.iter_maximal_chains()) == N5.maximal_chains()
+        assert list(N5.iter_maximal_chains()) == [(0, 1, 3, 4), (0, 2, 4)]
+        assert N5.path_counts(N5.covers)[0][N5.top] == 2
+
+    def test_chain_walkers_and_path_count_agree(self, real_poset):
+        p = real_poset
+        chains = list(p.iter_maximal_chains())
+        assert chains == p.interval_maximal_chains(p.bottom, p.top)
+        assert len(chains) == p.path_counts(p.covers)[0][p.top]
 
     def test_graded(self):
         ok, ranks = M3.is_graded()
@@ -111,6 +159,10 @@ class TestMoebius:
                 total = sum(t.values[(z, y)] for z in range(n)
                             if p.leq[x, z] and p.leq[z, y] and z != x)
                 assert t.values[(x, y)] == -total
+
+    def test_table_matches_bottom_top(self, real_poset):
+        p = real_poset
+        assert p.moebius().values[(p.bottom, p.top)] == p.moebius_bottom_top()
 
     def test_product_multiplicativity(self):
         p = direct_product(CHAIN3, M3)
