@@ -22,7 +22,7 @@ from .builders import (BuildError, build_nc, build_pe_dref, build_pi, catalan,
 from .labelings import (EdgeLabeling, count_decreasing_chains,
                         left_modular_labeling, parking_labeling,
                         usual_labeling, verify_el, verify_sn_el)
-from .nbb import (Atom, base_to_tree, classification_census,
+from .nbb import (Atom, base_to_tree, check_nbb_size, classification_census,
                   enumerate_nbb_bases_top, moebius_via_nbb)
 from .parking import build_D, build_pe_pchn, chain_parking_word, count_D
 from .partitions import PartitionError, SetPartition, parse_partition
@@ -178,15 +178,19 @@ def mobius(n: int, target: str, method: str, as_json: bool) -> None:
     started = time.monotonic()
     if method == "nbb" and target == "pe-pchn":
         raise click.UsageError("the NBB method needs a lattice; pe-pchn is not one")
+    ambient = "nc" if target == "nc" else "pe"
+    use_nbb = method in ("nbb", "all") and target != "pe-pchn"
+    if use_nbb:
+        try:
+            check_nbb_size(n, ambient)
+        except BuildError as exc:
+            raise click.UsageError(str(exc))
     poset = _build(target, n)
     values: dict[str, int] = {}
     if method in ("recursion", "all"):
         values["recursion"] = poset.moebius_bottom_top()
-    if method in ("nbb", "all") and target != "pe-pchn":
-        try:
-            values["nbb"] = moebius_via_nbb(n, "nc" if target == "nc" else "pe")
-        except BuildError as exc:
-            raise click.UsageError(str(exc))
+    if use_nbb:
+        values["nbb"] = moebius_via_nbb(n, ambient)
     if method in ("chains", "all"):
         lam = _labeling(target, n, poset, "leftmod")
         sign = (-1) ** poset.rank()

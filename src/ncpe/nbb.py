@@ -4,8 +4,12 @@ Atoms are the partitions with a single doubleton block {i, j}.  They are
 partially ordered by grouping into ranks: rank j holds the atoms {i, j}
 with i < j together with {j, n}.  A set of atoms is bounded below (BB)
 when each of its members has a strictly smaller atom below the set's
-join; sets with no nonempty BB subset (NBB) whose join is the full
-partition drive the Moebius value between bottom and top.
+join; sets with no nonempty BB subset (NBB) whose join is x are the NBB
+bases for x, and their signed count is the Moebius value from bottom to x.
+
+Every subset of an NBB set is NBB, so one search finds them all: it walks
+the atoms below x in rank order and adds an atom only when no subset
+containing it is BB, with the join of every visited set memoised.
 
 The bases for the full partition correspond to noncrossing trees on [n];
 the tree model also classifies which bases survive the passage from the
@@ -19,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Literal, NamedTuple
 
-from .builders import BuildError, pe_join
+from .builders import BuildError, is_pe_member, pe_join
 from .partitions import SetPartition, nc_join
 
 Ambient = Literal["nc", "pe"]
@@ -79,12 +83,6 @@ def _ambient_join(atoms: Iterable[Atom], n: int, ambient: Ambient) -> SetPartiti
     return result
 
 
-def atoms_cross(a: Atom, b: Atom) -> bool:
-    i, j = a
-    k, l = b
-    return i < k < j < l or k < i < l < j
-
-
 def is_bb(atoms: frozenset[Atom] | set[Atom], n: int, ambient: Ambient,
           join: SetPartition | None = None) -> bool:
     """Bounded-below test: every member must have a strictly smaller atom
@@ -99,71 +97,79 @@ def is_bb(atoms: frozenset[Atom] | set[Atom], n: int, ambient: Ambient,
         join = _ambient_join(atoms, n, ambient)
     for d in atoms:
         rd = atom_rank(d, n)
-        found = any(
-            atom_rank(a, n) < rd
-            and join.same_block(a.i, a.j)
-            and join != a.partition(n)
-            for a in pool)
+        # the join is never such an atom a: every member would then be a,
+        # d included, yet d outranks a
+        found = any(atom_rank(a, n) < rd and join.same_block(a.i, a.j)
+                    for a in pool)
         if not found:
             return False
     return True
 
 
-def _is_nbb(base: tuple[Atom, ...], n: int, ambient: Ambient) -> bool:
-    """Full check that no nonempty subset is BB; joins of subsets are
-    memoized bottom-up.  Singletons are never BB, so start at pairs."""
-    joins: dict[frozenset[Atom], SetPartition] = {
-        frozenset((a,)): a.partition(n) for a in base}
+def check_nbb_size(n: int, ambient: Ambient) -> None:
+    """Size cap of the NBB search in either ambient."""
+    low = 3 if ambient == "pe" else 1
+    if not (low <= n <= NBB_MAX_N):
+        raise BuildError(f"{ambient.upper()} ambient supports "
+                         f"{low} <= n <= {NBB_MAX_N}, got n={n}")
+
+
+def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...]]:
+    """All NBB bases for x: the atom sets that join to x and have no
+    nonempty BB subset, as rank-sorted atom tuples in lexicographic
+    order of their (rank, i, j) key sequences.
+
+    The search walks the atoms below x in that order and adds an atom to
+    the chosen set only if no subset that contains the new atom is BB.
+    Every subset of an NBB set is NBB, so this keeps exactly the NBB
+    sets.  The joins of all visited sets are shared by the whole search,
+    so each set is joined and tested once.
+    """
+    check_nbb_size(n, ambient)
+    if (x.n != n or not x.is_noncrossing
+            or (ambient == "pe" and not is_pe_member(x))):
+        raise BuildError(f"{x} is not in the {ambient} ambient for n={n}")
     join_op = nc_join if ambient == "nc" else pe_join
-    for size in range(2, len(base) + 1):
-        for combo in combinations(base, size):
-            s = frozenset(combo)
-            sub = s - {combo[-1]}
-            joins[s] = join_op(joins[sub], combo[-1].partition(n))
-            if is_bb(s, n, ambient, join=joins[s]):
-                return False
-    return True
+    below = [a for group in atoms_by_rank(n, ambient) for a in group
+             if x.same_block(a.i, a.j)]
+    # join of every visited atom set, or None for a BB set
+    joins: dict[frozenset[Atom], SetPartition | None] = {
+        frozenset(): SetPartition.bottom(n)}
+    chosen: list[Atom] = []
+    bases: list[tuple[Atom, ...]] = []
+
+    def admits(a: Atom) -> bool:
+        for size in range(len(chosen) + 1):
+            for combo in combinations(chosen, size):
+                sub = frozenset(combo)
+                s = sub | {a}
+                if s not in joins:
+                    join = join_op(joins[sub], a.partition(n))
+                    # a singleton (size 0 here) is never BB
+                    joins[s] = None if size and is_bb(s, n, ambient, join) else join
+                if joins[s] is None:
+                    return False
+        return True
+
+    def walk(start: int) -> None:
+        if joins[frozenset(chosen)] == x:
+            bases.append(tuple(chosen))
+        for k in range(start, len(below)):
+            if admits(below[k]):
+                chosen.append(below[k])
+                walk(k + 1)
+                chosen.pop()
+
+    walk(0)
+    return bases
 
 
 @lru_cache(maxsize=None)
 def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...], ...]:
-    """All NBB bases for the full partition, as rank-sorted atom tuples
-    in lexicographic order of their (rank, i, j) key sequences.
-
-    Any two atoms of equal rank, and any crossing pair, form a BB set,
-    so a base picks at most one atom per rank and is pairwise
-    noncrossing; the search enumerates exactly those candidates and runs
-    the full NBB subset check on the survivors.
-    """
-    if ambient == "pe":
-        if not (3 <= n <= NBB_MAX_N):
-            raise BuildError(f"PE ambient supports 3 <= n <= {NBB_MAX_N}, got n={n}")
-    else:
-        if not (1 <= n <= NBB_MAX_N):
-            raise BuildError(f"NC ambient supports 1 <= n <= {NBB_MAX_N}, got n={n}")
-    top = SetPartition.top(n)
-    if n == 1:
-        return ((),)
-    groups = atoms_by_rank(n, ambient)
-    bases: list[tuple[Atom, ...]] = []
-    chosen: list[Atom] = []
-
-    def dfs(rank_idx: int) -> None:
-        if rank_idx == len(groups):
-            base = tuple(chosen)
-            if (_ambient_join(base, n, ambient) == top
-                    and _is_nbb(base, n, ambient)):
-                bases.append(base)
-            return
-        for a in groups[rank_idx]:
-            if any(atoms_cross(a, b) for b in chosen):
-                continue
-            chosen.append(a)
-            dfs(rank_idx + 1)
-            chosen.pop()
-
-    dfs(0)
-    return tuple(bases)
+    """All NBB bases for the full partition, in the order of `nbb_bases`.
+    Each base holds exactly one atom of every rank."""
+    check_nbb_size(n, ambient)  # before SetPartition.top rejects n < 1
+    return tuple(nbb_bases(n, ambient, SetPartition.top(n)))
 
 
 def moebius_via_nbb(n: int, ambient: Ambient) -> int:
@@ -283,36 +289,3 @@ def classification_census(n: int) -> dict[str, int]:
         raw[classify_base(base, n)] += 1
     return {"S1": raw["S1"], "S2": raw["S2"], "R": raw["R"] + raw["S1"],
             "kept": raw["kept"]}
-
-
-# -- bases for arbitrary noncrossing elements (exploratory) -------------------
-
-def nc_nbb_bases_for(n: int, x: SetPartition) -> list[tuple[Atom, ...]]:
-    """NBB bases for an arbitrary noncrossing partition: pick at most one
-    atom per rank with pairwise-noncrossing joins, then keep the sets
-    that are NBB and join to x.  Verified against the Moebius recursion
-    only for small n; not asserted in general."""
-    groups = atoms_by_rank(n, "nc")
-    bases: list[tuple[Atom, ...]] = []
-    chosen: list[Atom] = []
-
-    def dfs(rank_idx: int) -> None:
-        if rank_idx == len(groups):
-            base = tuple(chosen)
-            if not base:
-                if x == SetPartition.bottom(n):
-                    bases.append(base)
-                return
-            if (_ambient_join(base, n, "nc") == x
-                    and _is_nbb(base, n, "nc")):
-                bases.append(base)
-            return
-        dfs(rank_idx + 1)  # skip this rank
-        for a in groups[rank_idx]:
-            if a.partition(n).leq_dref(x) and not any(atoms_cross(a, b) for b in chosen):
-                chosen.append(a)
-                dfs(rank_idx + 1)
-                chosen.pop()
-
-    dfs(0)
-    return bases

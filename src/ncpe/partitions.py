@@ -122,11 +122,11 @@ def parse_partition(text: str, n: int | None = None) -> SetPartition:
     for part in parts:
         if not part:
             raise PartitionError(f"empty block in {text!r}")
-        if "," in text:
-            elems = [int(tok) for tok in part.split(",")]
-        else:
-            elems = [int(ch) for ch in part]
-        blocks.append(elems)
+        tokens = part.split(",") if "," in text else part
+        try:
+            blocks.append([int(tok) for tok in tokens])
+        except ValueError:
+            raise PartitionError(f"non-integer element in {text!r}") from None
     if n is None:
         return SetPartition.of(sum(len(b) for b in blocks), blocks)
     mentioned = {e for b in blocks for e in b}

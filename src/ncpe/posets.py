@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,17 +42,6 @@ class FinitePoset:
             raise PosetError("duplicate element keys")
 
     # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_order_oracle(cls, keys: Sequence[Hashable],
-                          leq_fn: Callable[[Hashable, Hashable], bool]) -> "FinitePoset":
-        keys = tuple(keys)
-        n = len(keys)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(keys):
-            for j, b in enumerate(keys):
-                leq[i, j] = leq_fn(a, b)
-        return cls.from_leq_matrix(keys, leq)
 
     @classmethod
     def from_leq_matrix(cls, keys: Sequence[Hashable], leq: np.ndarray) -> "FinitePoset":
@@ -398,13 +387,6 @@ class MoebiusTable:
 
     def by_key(self, x: Hashable, y: Hashable) -> int:
         return self.values[(self.poset.index(x), self.poset.index(y))]
-
-
-def direct_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    """Componentwise order on pairs of elements."""
-    keys = [(a, b) for a in p.keys for b in q.keys]
-    leq = np.kron(p.leq, q.leq).astype(bool)
-    return FinitePoset.from_leq_matrix(keys, leq)
 
 
 def certify_supersolvable(p: FinitePoset, chain: Sequence[int],

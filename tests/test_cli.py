@@ -101,6 +101,20 @@ class TestMobius:
                    "--method", "nbb"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("target", ["nc", "pe-dref"])
+    @pytest.mark.parametrize("method", ["nbb", "all"])
+    def test_nbb_cap_checked_before_build(self, runner, monkeypatch,
+                                          target, method):
+        def no_build(target, n):
+            raise AssertionError("poset built before the NBB cap check")
+
+        monkeypatch.setattr("ncpe.cli._build", no_build)
+        result = runner.invoke(
+            main, ["mobius", "-n", "10", "--target", target,
+                   "--method", method])
+        assert result.exit_code == 2
+        assert "n <= 9" in result.output
+
 
 class TestNbbChainsLabel:
     def test_nbb_census(self, runner):
@@ -155,6 +169,12 @@ class TestProbeIntervals:
         result = runner.invoke(main, ["probe-intervals", "-n", "4",
                                       "--lower", "34"])
         assert result.exit_code == 2
+
+    def test_non_integer_lower_is_usage_error(self, runner):
+        result = runner.invoke(main, ["probe-intervals", "-n", "5",
+                                      "--lower", "1x|2"])
+        assert result.exit_code == 2
+        assert "non-integer" in result.output
 
 
 class TestDeterminism:

@@ -1,14 +1,64 @@
-"""NBB bases for the top element, the noncrossing-tree model, and the
+"""NBB bases for the top element and for arbitrary elements, checked
+against a brute-force oracle; the noncrossing-tree model, and the
 discard classification."""
+
+from itertools import combinations
 
 import pytest
 
-from ncpe.builders import BuildError, build_nc, build_pe_dref, catalan
-from ncpe.nbb import (Atom, atom_rank, atoms_by_rank, atoms_cross,
+from ncpe.builders import (BuildError, build_nc, build_pe_dref, catalan,
+                           enumerate_noncrossing, pe_join)
+from ncpe.nbb import (Atom, _ambient_join, atom_rank, atoms_by_rank,
                       base_to_tree, classification_census, classify_base,
                       enumerate_nbb_bases_top, is_bb, moebius_via_nbb,
-                      nc_atoms, nc_nbb_bases_for, pe_atoms)
-from ncpe.partitions import SetPartition
+                      nbb_bases, nc_atoms, pe_atoms)
+from ncpe.partitions import SetPartition, nc_join, parse_partition
+
+
+# -- brute-force oracle: the NBB definition checked subset by subset ---------
+
+def atoms_cross(a: Atom, b: Atom) -> bool:
+    i, j = a
+    k, l = b
+    return i < k < j < l or k < i < l < j
+
+
+def is_nbb(base, n, ambient):
+    """No nonempty subset of base is BB; joins of subsets are memoised
+    bottom-up.  Singletons are never BB, so start at pairs."""
+    joins = {frozenset((a,)): a.partition(n) for a in base}
+    join_op = nc_join if ambient == "nc" else pe_join
+    for size in range(2, len(base) + 1):
+        for combo in combinations(base, size):
+            s = frozenset(combo)
+            joins[s] = join_op(joins[s - {combo[-1]}], combo[-1].partition(n))
+            if is_bb(s, n, ambient, join=joins[s]):
+                return False
+    return True
+
+
+def oracle_bases(n, ambient, x):
+    """At most one atom per rank, pairwise noncrossing, below x; keep the
+    candidates that join to x and pass the full subset check."""
+    groups = atoms_by_rank(n, ambient)
+    bases = []
+    chosen = []
+
+    def dfs(rank_idx):
+        if rank_idx == len(groups):
+            base = tuple(chosen)
+            if _ambient_join(base, n, ambient) == x and is_nbb(base, n, ambient):
+                bases.append(base)
+            return
+        dfs(rank_idx + 1)  # no atom of this rank
+        for a in groups[rank_idx]:
+            if x.same_block(a.i, a.j) and not any(atoms_cross(a, b) for b in chosen):
+                chosen.append(a)
+                dfs(rank_idx + 1)
+                chosen.pop()
+
+    dfs(0)
+    return bases
 
 
 class TestAtomOrder:
@@ -140,6 +190,19 @@ class TestClassification:
             classify_base((Atom(2, 3),), 4)
 
 
+class TestOracle:
+    @pytest.mark.parametrize("ambient, n", [("nc", n) for n in range(1, 8)]
+                             + [("pe", n) for n in range(3, 8)])
+    def test_top_bases_match_oracle(self, ambient, n):
+        assert enumerate_nbb_bases_top(n, ambient) == \
+            tuple(oracle_bases(n, ambient, SetPartition.top(n)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_nc_element_matches_oracle(self, n):
+        for x in enumerate_noncrossing(n):
+            assert nbb_bases(n, "nc", x) == oracle_bases(n, "nc", x)
+
+
 class TestArbitraryElement:
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_signed_counts_match_recursion(self, n):
@@ -147,8 +210,18 @@ class TestArbitraryElement:
         table = p.moebius()
         bottom = p.bottom
         for k, x in enumerate(p.keys):
-            bases = nc_nbb_bases_for(n, x)
+            bases = nbb_bases(n, "nc", x)
             assert sum((-1) ** len(b) for b in bases) == table.values[(bottom, k)]
 
     def test_bottom_has_empty_base(self):
-        assert nc_nbb_bases_for(4, SetPartition.bottom(4)) == [()]
+        assert nbb_bases(4, "nc", SetPartition.bottom(4)) == [()]
+
+    @pytest.mark.parametrize("ambient, x", [
+        ("nc", SetPartition.top(5)),         # wrong ground set
+        ("nc", parse_partition("13|24")),    # crossing
+        ("pe", parse_partition("1|2|34")),   # block {n-1, n}
+        ("pe", parse_partition("13|2|4")),   # {n} alone, 1 ~ n-1
+    ])
+    def test_element_outside_ambient_rejected(self, ambient, x):
+        with pytest.raises(BuildError):
+            nbb_bases(4, ambient, x)

@@ -63,6 +63,11 @@ class TestConstruction:
         x = parse_partition("12", 3)
         assert x.blocks == ((1, 2), (3,))
 
+    @pytest.mark.parametrize("text", ["1x|2", "1,x|2", "1|2,"])
+    def test_parse_rejects_non_integer(self, text):
+        with pytest.raises(PartitionError):
+            parse_partition(text, 5)
+
 
 class TestOrder:
     def test_leq_dref_examples(self):
