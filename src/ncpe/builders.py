@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .partitions import (PartitionError, SetPartition, meet_partition,
@@ -38,10 +39,7 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
 
     def rec(i: int, nblocks: int) -> None:
         if i == n:
-            blocks: list[list[int]] = [[] for _ in range(nblocks)]
-            for e, b in enumerate(assignment, start=1):
-                blocks[b].append(e)
-            out.append(SetPartition.of(n, blocks))
+            out.append(SetPartition(n, tuple(assignment)))
             return
         for b in range(nblocks + 1):
             assignment[i] = b
@@ -52,45 +50,27 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
 
 
 def enumerate_noncrossing(n: int) -> list[SetPartition]:
-    """All noncrossing partitions of [n].
+    """All noncrossing partitions of [n], ordered by their blocks.
 
-    Recursive block-structure generation: the block containing the least
-    remaining element splits what is left into independent segments, so
-    nothing crossing is ever produced.
+    Each element opens a block or joins one that is still open; joining
+    closes every block opened after that one, since a later element in
+    any of them would make a crossing.
     """
+    out: list[SetPartition] = []
+    code = [0] * n
 
-    memo: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
+    def rec(e: int, stack: list[int], nblocks: int) -> None:
+        if e == n:
+            out.append(SetPartition(n, tuple(code)))
+            return
+        code[e] = nblocks
+        rec(e + 1, stack + [nblocks], nblocks + 1)
+        for k, b in enumerate(stack):
+            code[e] = b
+            rec(e + 1, stack[:k + 1], nblocks)
 
-    def rec(elems: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-        if not elems:
-            return [[]]
-        cached = memo.get(elems)
-        if cached is not None:
-            return cached
-        first, rest = elems[0], elems[1:]
-        results: list[list[tuple[int, ...]]] = []
-
-        def choose(start: int, block: list[int], segments: list[tuple[int, ...]]) -> None:
-            # close the block here; everything after the last member is
-            # one more independent segment
-            tail_segments = segments + [rest[start:]]
-            partials: list[list[list[tuple[int, ...]]]] = [rec(s) for s in tail_segments]
-            combos: list[list[tuple[int, ...]]] = [[]]
-            for options in partials:
-                combos = [c + o for c in combos for o in options]
-            blk = tuple(block)
-            results.extend([blk] + c for c in combos)
-            for k in range(start, len(rest)):
-                block.append(rest[k])
-                choose(k + 1, block, segments + [rest[start:k]])
-                block.pop()
-
-        choose(0, [first], [])
-        memo[elems] = results
-        return results
-
-    return [SetPartition.of(n, blocks)
-            for blocks in rec(tuple(range(1, n + 1)))]
+    rec(0, [], 0)
+    return sorted(out, key=lambda x: x.blocks)
 
 
 def is_pe_member(x: SetPartition) -> bool:
@@ -124,15 +104,10 @@ def _merge_covers(members: list[SetPartition]) -> list[tuple[int, int]]:
     index = {x: i for i, x in enumerate(members)}
     covers: list[tuple[int, int]] = []
     for i, x in enumerate(members):
-        blocks = x.blocks
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                merged_blocks = (blocks[:a] + (tuple(sorted(blocks[a] + blocks[b])),)
-                                 + blocks[a + 1:b] + blocks[b + 1:])
-                y = SetPartition.of(x.n, merged_blocks)
-                j = index.get(y)
-                if j is not None:
-                    covers.append((i, j))
+        for a, b in combinations([blk[0] for blk in x.blocks], 2):
+            j = index.get(x.merge(a, b))
+            if j is not None:
+                covers.append((i, j))
     return covers
 
 
@@ -169,8 +144,7 @@ def pe_meet(x: SetPartition, y: SetPartition) -> SetPartition:
     if is_pe_member(w):
         return w
     if (n - 1, n) in w.blocks:
-        blocks = [b for b in w.blocks if b != (n - 1, n)] + [(n - 1,), (n,)]
-        return SetPartition.of(n, blocks)
+        return meet_partition(w, SetPartition.of(n, [range(1, n), [n]]))
     # the remaining failure mode ({n} singleton with 1 ~ n-1) cannot
     # occur for inputs in PE; treat it as a structural contradiction
     raise AssertionError(f"impossible meet case for {x} ^ {y}: got {w}")
@@ -187,10 +161,7 @@ def pe_join(x: SetPartition, y: SetPartition) -> SetPartition:
         return w
     if (n - 1, n) in w.blocks:
         raise AssertionError(f"impossible join case for {x} v {y}: got {w}")
-    block_of_1 = next(b for b in w.blocks if 1 in b)
-    blocks = [b for b in w.blocks if b != block_of_1 and b != (n,)]
-    blocks.append(tuple(sorted(block_of_1 + (n,))))
-    return SetPartition.of(n, blocks)
+    return w.merge(1, n)
 
 
 def _require_pe(x: SetPartition) -> None:
@@ -212,11 +183,7 @@ class DistinguishedChain:
 def chain_element(n: int, i: int) -> SetPartition:
     if not (1 <= i <= n):
         raise BuildError(f"chain index {i} out of range for n={n}")
-    if i == 1:
-        return SetPartition.bottom(n)
-    big = tuple(range(1, i)) + (n,)
-    blocks = [big] + [(e,) for e in range(i, n)]
-    return SetPartition.of(n, blocks)
+    return SetPartition.of(n, [[*range(1, i), n]] + [[e] for e in range(i, n)])
 
 
 def distinguished_chain(n: int) -> DistinguishedChain:

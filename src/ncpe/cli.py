@@ -145,7 +145,7 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
         verdicts["graded"] = poset.is_graded()[0]
     if suite in ("leftmod", "all") and target != "pe-pchn" and tables.is_lattice:
         chain = [poset.index(x) for x in distinguished_chain(n).elements]
-        verdicts["left_modular_chain"] = poset.is_left_modular_chain(chain, tables)
+        verdicts["left_modular_chain"] = poset.is_left_modular_chain(chain)
     if suite in ("el", "sn-el", "all"):
         lam = _labeling(target, n, poset, "leftmod")
         if suite in ("el", "all"):
@@ -233,6 +233,7 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
     if do_classify and ambient != "nc":
         raise click.UsageError("--classify applies to the nc ambient")
     try:
+        census = classification_census(n) if do_classify else None
         bases = enumerate_nbb_bases_top(n, ambient)
     except BuildError as exc:
         raise click.UsageError(str(exc))
@@ -242,7 +243,7 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
         "base_atoms": [[f"{a.i},{a.j}" for a in base] for base in bases],
     }
     if do_classify:
-        report["census"] = classification_census(n)
+        report["census"] = census
     if trees_path:
         with open(trees_path, "w") as fh:
             for base in bases:

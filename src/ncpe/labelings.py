@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import SetPartition
-from .posets import FinitePoset, LatticeCheck, PosetError
+from .posets import FinitePoset, PosetError
 
 
 class LabelingError(ValueError):
@@ -57,8 +57,7 @@ def is_weakly_decreasing(word: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(word, word[1:]))
 
 
-def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence,
-                          tables: LatticeCheck | None = None) -> EdgeLabeling:
+def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence) -> EdgeLabeling:
     """Labeling induced by a left-modular maximal chain c_0 < ... < c_r:
     a cover (y, z) gets the least t with z <= y v c_t.
 
@@ -66,12 +65,11 @@ def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence,
     against the meet form (least t with c_t ^ z not below y); the two
     agree on supersolvable lattices.
     """
-    if tables is None:
-        tables = poset.lattice_check()
+    tables = poset.lattice_check()
     if not tables.is_lattice:
         raise LabelingError("left-modular labeling requires a lattice")
     chain = [poset.index(k) for k in chain_keys]
-    if not poset.is_left_modular_chain(chain, tables):
+    if not poset.is_left_modular_chain(chain):
         raise LabelingError("chain is not left-modular")
     join, meet, leq = tables.join, tables.meet, poset.leq
     labels: dict[tuple[int, int], int] = {}
@@ -89,10 +87,9 @@ def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence,
 def _merged_blocks(x: SetPartition, y: SetPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two blocks of x merged in y, ordered by minimum."""
     joined = [b for b in x.blocks if b not in y.blocks]
-    if len(joined) != 2 or tuple(sorted(joined[0] + joined[1])) not in y.blocks:
+    if len(joined) != 2 or x.merge(joined[0][0], joined[1][0]) != y:
         raise LabelingError(f"cover {x} < {y} is not a two-block merge")
-    b1, b2 = sorted(joined, key=min)
-    return b1, b2
+    return joined[0], joined[1]
 
 
 def parking_label(x: SetPartition, y: SetPartition) -> int:

@@ -36,9 +36,7 @@ class Atom(NamedTuple):
     j: int
 
     def partition(self, n: int) -> SetPartition:
-        blocks = [(self.i, self.j)] + [(e,) for e in range(1, n + 1)
-                                       if e not in (self.i, self.j)]
-        return SetPartition.of(n, blocks)
+        return SetPartition.bottom(n).merge(self.i, self.j)
 
     def __str__(self) -> str:
         return f"a({self.i},{self.j})"
@@ -64,15 +62,12 @@ def pe_atoms(n: int) -> list[Atom]:
     return [a for a in nc_atoms(n) if a not in excluded]
 
 
-def atoms_by_rank(n: int, ambient: Ambient) -> list[list[Atom]]:
-    """Atoms grouped by rank 1, ..., n-1, each group sorted by (i, j)."""
+@lru_cache(maxsize=None)
+def ranked_atoms(n: int, ambient: Ambient) -> dict[Atom, int]:
+    """The rank of every atom of the ambient, in (rank, i, j) order."""
     atoms = nc_atoms(n) if ambient == "nc" else pe_atoms(n)
-    groups: list[list[Atom]] = [[] for _ in range(n - 1)]
-    for a in atoms:
-        groups[atom_rank(a, n) - 1].append(a)
-    for g in groups:
-        g.sort()
-    return groups
+    return {a: atom_rank(a, n)
+            for a in sorted(atoms, key=lambda a: (atom_rank(a, n), a))}
 
 
 def _ambient_join(atoms: Iterable[Atom], n: int, ambient: Ambient) -> SetPartition:
@@ -89,20 +84,21 @@ def is_bb(atoms: frozenset[Atom] | set[Atom], n: int, ambient: Ambient,
     (in the rank order) lying below the join of the whole set."""
     if not atoms:
         raise BuildError("BB is defined for nonempty atom sets")
-    pool = nc_atoms(n) if ambient == "nc" else pe_atoms(n)
+    pool = ranked_atoms(n, ambient)
     for a in atoms:
-        if not (1 <= a.i < a.j <= n) or a not in pool:
+        if a not in pool:
             raise BuildError(f"atom {a} invalid for ambient {ambient!r}, n={n}")
     if join is None:
         join = _ambient_join(atoms, n, ambient)
     for d in atoms:
-        rd = atom_rank(d, n)
+        rd = pool[d]
         # the join is never such an atom a: every member would then be a,
         # d included, yet d outranks a
-        found = any(atom_rank(a, n) < rd and join.same_block(a.i, a.j)
-                    for a in pool)
-        if not found:
-            return False
+        for a, r in pool.items():  # rank order; d itself ends the loop
+            if r >= rd:
+                return False
+            if join.same_block(a.i, a.j):
+                break
     return True
 
 
@@ -130,8 +126,7 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
             or (ambient == "pe" and not is_pe_member(x))):
         raise BuildError(f"{x} is not in the {ambient} ambient for n={n}")
     join_op = nc_join if ambient == "nc" else pe_join
-    below = [a for group in atoms_by_rank(n, ambient) for a in group
-             if x.same_block(a.i, a.j)]
+    below = [a for a in ranked_atoms(n, ambient) if x.same_block(a.i, a.j)]
     # join of every visited atom set, or None for a BB set
     joins: dict[frozenset[Atom], SetPartition | None] = {
         frozenset(): SetPartition.bottom(n)}
@@ -283,7 +278,10 @@ def classify_base(base: tuple[Atom, ...], n: int) -> Classification:
 def classification_census(n: int) -> dict[str, int]:
     """Counts of the discard classes among the noncrossing bases.  S1 is
     a subset of R, so the reported R count includes the S1 count and
-    discarded = S2 + R."""
+    discarded = S2 + R.  The classes name the atoms {1, n-1} and
+    {n-1, n} of PE, so n >= 3."""
+    if n < 3:
+        raise BuildError(f"the discard classes need n >= 3, got n={n}")
     raw = {"S1": 0, "S2": 0, "R": 0, "kept": 0}
     for base in enumerate_nbb_bases_top(n, "nc"):
         raw[classify_base(base, n)] += 1

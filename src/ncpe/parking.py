@@ -149,10 +149,7 @@ def dominating_witness(x: SetPartition, y: SetPartition,
     n = x.n
     if parking_label(x, y) != n - 1:
         raise BuildError(f"cover ({x}, {y}) is not labeled {n - 1}")
-    block_a = next(b for b in x.blocks if 1 in b)
-    blocks = [b for b in x.blocks if b != block_a and b != (n,)]
-    blocks.append(block_a + (n,))
-    y_prime = SetPartition.of(n, blocks)
+    y_prime = x.merge(1, n)
     poset = labeling.poset
     xi, yi, yp = poset.index(x), poset.index(y), poset.index(y_prime)
     if (xi, yp) not in labeling.labels:

@@ -1,16 +1,17 @@
 """Set partitions of [n] = {1, ..., n} under the dual refinement order.
 
-Partitions are stored canonically: every block sorted ascending, blocks
-sorted by their minimum.  Equal partitions therefore compare equal
-structurally and hash identically.  All operations are pure and return
-fresh canonical partitions.
+A partition is stored as its restricted growth string: code[e-1] is the
+index of the block holding e, blocks numbered by their least elements.
+Equal partitions therefore have equal codes, with no canonicalisation
+step; the blocks are derived from the code on demand.  The noncrossing
+closure is one scan with a stack of open blocks.  All operations are
+pure and return fresh partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 MAX_N = 16
@@ -20,82 +21,83 @@ class PartitionError(ValueError):
     """Invalid partition data or mismatched ground sets."""
 
 
-def _canonical(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    blks = [tuple(sorted(b)) for b in blocks]
-    blks.sort(key=lambda b: b[0])
-    return tuple(blks)
-
-
 @dataclass(frozen=True)
 class SetPartition:
-    """A partition of {1, ..., n} into disjoint nonempty blocks."""
+    """A partition of {1, ..., n}, stored as its restricted growth string."""
 
     n: int
-    blocks: tuple[tuple[int, ...], ...]
+    code: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not (1 <= self.n <= MAX_N):
             raise PartitionError(f"ground-set size must be in [1, {MAX_N}], got {self.n}")
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise PartitionError("empty block")
-            if set(b) & seen:
-                raise PartitionError("blocks are not disjoint")
-            seen.update(b)
-        if seen != set(range(1, self.n + 1)):
-            raise PartitionError(f"blocks do not cover [{self.n}]: {self.blocks}")
-        if self.blocks != _canonical(self.blocks):
-            raise PartitionError("blocks not in canonical form; use SetPartition.of")
+        # the distinct values, in order of first appearance, are 0, 1, ...
+        firsts = list(dict.fromkeys(self.code))
+        if len(self.code) != self.n or firsts != list(range(len(firsts))):
+            raise PartitionError(f"{self.code} is not a restricted growth string "
+                                 f"of length {self.n}; use SetPartition.of")
 
     @staticmethod
     def of(n: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        return SetPartition(n, _canonical(blocks))
+        """The partition of [n] with the given blocks, in any order."""
+        blocks = [tuple(b) for b in blocks]
+        owner = {e: bi for bi, b in enumerate(blocks) for e in b}
+        if not all(blocks):
+            raise PartitionError("empty block")
+        if len(owner) != sum(map(len, blocks)):
+            raise PartitionError("blocks are not disjoint")
+        if len(owner) != n or set(owner) != set(range(1, n + 1)):
+            raise PartitionError(f"blocks do not cover [{n}]: {blocks}")
+        return _from_labels(n, map(owner.get, range(1, n + 1)))
 
     @staticmethod
     def bottom(n: int) -> "SetPartition":
-        return SetPartition(n, tuple((i,) for i in range(1, n + 1)))
+        return SetPartition(n, tuple(range(n)))
 
     @staticmethod
     def top(n: int) -> "SetPartition":
-        return SetPartition(n, (tuple(range(1, n + 1)),))
+        return SetPartition(n, (0,) * n)
 
     @cached_property
-    def _block_of(self) -> dict[int, int]:
-        # element -> block index; derived, never authoritative
-        out: dict[int, int] = {}
-        for bi, b in enumerate(self.blocks):
-            for e in b:
-                out[e] = bi
-        return out
-
-    def num_blocks(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Blocks sorted ascending, ordered by their least elements."""
+        out: list[list[int]] = [[] for _ in range(max(self.code) + 1)]
+        for e, c in enumerate(self.code, start=1):
+            out[c].append(e)
+        return tuple(tuple(b) for b in out)
 
     def rank(self) -> int:
-        return self.n - len(self.blocks)
+        return self.n - max(self.code) - 1
 
-    def same_block(self, i: int, j: int) -> bool:
+    def _check_range(self, i: int, j: int) -> None:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise PartitionError(f"indices ({i}, {j}) out of range for n={self.n}")
-        return self._block_of[i] == self._block_of[j]
+
+    def same_block(self, i: int, j: int) -> bool:
+        self._check_range(i, j)
+        return self.code[i - 1] == self.code[j - 1]
+
+    def merge(self, i: int, j: int) -> "SetPartition":
+        """The partition with the blocks of i and j merged into one."""
+        self._check_range(i, j)
+        a, b = sorted((self.code[i - 1], self.code[j - 1]))
+        if a == b:
+            return self
+        # the merged block keeps the lower index; the blocks after b
+        # move down by one, which keeps the code a restricted growth string
+        return SetPartition(self.n, tuple(
+            a if c == b else c - (c > b) for c in self.code))
 
     def leq_dref(self, other: "SetPartition") -> bool:
         """True iff every block of self lies inside a block of other."""
         if self.n != other.n:
             raise PartitionError(f"mismatched ground sets: {self.n} != {other.n}")
-        bo = other._block_of
-        for b in self.blocks:
-            target = bo[b[0]]
-            if any(bo[e] != target for e in b[1:]):
-                return False
-        return True
+        # each block of self meets exactly one block of other
+        return len(set(zip(self.code, other.code))) == max(self.code) + 1
 
     @cached_property
     def is_noncrossing(self) -> bool:
-        return not any(
-            _blocks_cross(a, b) for a, b in combinations(self.blocks, 2)
-        )
+        return nc_closure(self) == self
 
     def __str__(self) -> str:
         sep = "," if self.n >= 10 else ""
@@ -105,13 +107,11 @@ class SetPartition:
         return f"SetPartition({self.n}, {self!s})"
 
 
-def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # a and b cross iff their elements alternate a, b, a, b somewhere
-    merged = sorted([(e, 0) for e in a] + [(e, 1) for e in b])
-    alternations = sum(
-        1 for (_, s), (_, t) in zip(merged, merged[1:]) if s != t
-    )
-    return alternations >= 3
+def _from_labels(n: int, labels: Iterable) -> SetPartition:
+    """The partition of [n] whose blocks are the classes of equal labels,
+    label k belonging to element k+1."""
+    index: dict = {}
+    return SetPartition(n, tuple(index.setdefault(a, len(index)) for a in labels))
 
 
 def parse_partition(text: str, n: int | None = None) -> SetPartition:
@@ -136,66 +136,61 @@ def parse_partition(text: str, n: int | None = None) -> SetPartition:
 
 def meet_partition(x: SetPartition, y: SetPartition) -> SetPartition:
     """Greatest lower bound in the full partition lattice: pairwise
-    block intersections."""
+    block intersections, one per distinct pair of block indices."""
     if x.n != y.n:
         raise PartitionError(f"mismatched ground sets: {x.n} != {y.n}")
-    blocks = []
-    for b in x.blocks:
-        for c in y.blocks:
-            inter = set(b) & set(c)
-            if inter:
-                blocks.append(inter)
-    return SetPartition.of(x.n, blocks)
+    return _from_labels(x.n, zip(x.code, y.code))
 
 
 def join_partition(x: SetPartition, y: SetPartition) -> SetPartition:
-    """Least upper bound in the full partition lattice, via union-find.
-
-    Equivalent to taking connected components of the bipartite graph of
-    elements against the blocks of both partitions.
-    """
+    """Least upper bound in the full partition lattice: union-find over
+    the blocks of x, joining the blocks of x that meet one block of y."""
     if x.n != y.n:
         raise PartitionError(f"mismatched ground sets: {x.n} != {y.n}")
-    parent = list(range(x.n + 1))
+    root = list(range(max(x.code) + 1))
+    first: dict[int, int] = {}  # block of y -> first block of x it meets
+    for a, b in zip(x.code, y.code):
+        ra, rb = sorted((_find(root, a), _find(root, first.setdefault(b, a))))
+        root[rb] = ra
+    return _from_labels(x.n, (_find(root, a) for a in x.code))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for p in (x, y):
-        for b in p.blocks:
-            for e in b[1:]:
-                union(b[0], e)
-    groups: dict[int, list[int]] = {}
-    for e in range(1, x.n + 1):
-        groups.setdefault(find(e), []).append(e)
-    return SetPartition.of(x.n, groups.values())
+def _find(root: list[int], c: int) -> int:
+    """The block that block c has merged into."""
+    while root[c] != c:
+        c = root[c]
+    return c
 
 
 def nc_closure(x: SetPartition) -> SetPartition:
-    """Smallest noncrossing partition weakly above x: repeatedly merge
-    crossing blocks until none remain."""
-    blocks = [set(b) for b in x.blocks]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if _blocks_cross(tuple(sorted(blocks[i])), tuple(sorted(blocks[j]))):
-                    blocks[i] |= blocks[j]
-                    del blocks[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return SetPartition.of(x.n, blocks)
+    """Smallest noncrossing partition weakly above x, in one scan.
+
+    A stack holds the open blocks (seen, with elements still to come) in
+    the order they opened.  When an element's block lies below the top of
+    the stack, each block above it opened later and is still open, so it
+    crosses that block and merges into it.  A block closes at its last
+    element; no later merge reaches into it, so nothing crosses it.
+    """
+    code = x.code
+    root = list(range(max(code) + 1))  # block -> the block it merged into
+    last = [0] * len(root)
+    for e, c in enumerate(code):
+        last[c] = e
+    stack: list[int] = []
+    fresh = 0
+    for e, c in enumerate(code):
+        if c == fresh:  # the least element of a block
+            fresh += 1
+            stack.append(c)
+        else:
+            c = _find(root, c)
+            while stack[-1] != c:
+                top = stack.pop()
+                root[top] = c
+                last[c] = max(last[c], last[top])
+        if last[c] == e:
+            stack.pop()
+    return _from_labels(x.n, (_find(root, c) for c in code))
 
 
 def nc_join(x: SetPartition, y: SetPartition) -> SetPartition:

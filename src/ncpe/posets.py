@@ -257,7 +257,12 @@ class FinitePoset:
 
     def lattice_check(self) -> LatticeCheck:
         """Test whether every pair has a unique least upper bound and
-        greatest lower bound; returns meet/join tables on success."""
+        greatest lower bound; returns meet/join tables on success.
+        Computed once per poset."""
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> LatticeCheck:
         n = len(self.keys)
         join = np.full((n, n), -1, dtype=np.int64)
         meet = np.full((n, n), -1, dtype=np.int64)
@@ -279,8 +284,9 @@ class FinitePoset:
                 meet[i, j] = meet[j, i] = z
         return LatticeCheck(True, meet=meet, join=join)
 
-    def is_modular_pair(self, x: int, z: int, tables: LatticeCheck) -> bool:
+    def is_modular_pair(self, x: int, z: int) -> bool:
         """xMz: (y v x) ^ z == y v (x ^ z) for every y <= z."""
+        tables = self._lattice
         if not tables.is_lattice:
             raise PosetError("modular pairs are defined only in lattices")
         join, meet = tables.join, tables.meet
@@ -290,15 +296,14 @@ class FinitePoset:
                 return False
         return True
 
-    def is_left_modular(self, x: int, tables: LatticeCheck) -> bool:
-        return all(self.is_modular_pair(x, z, tables) for z in range(len(self.keys)))
+    def is_left_modular(self, x: int) -> bool:
+        return all(self.is_modular_pair(x, z) for z in range(len(self.keys)))
 
-    def is_left_modular_chain(self, chain: Sequence[int],
-                              tables: LatticeCheck) -> bool:
+    def is_left_modular_chain(self, chain: Sequence[int]) -> bool:
         """True iff the (maximal) chain consists of left-modular elements."""
         if not self._is_maximal_chain(chain):
             raise PosetError("chain is not maximal")
-        return all(self.is_left_modular(x, tables) for x in chain)
+        return all(self.is_left_modular(x) for x in chain)
 
     def _is_maximal_chain(self, chain: Sequence[int]) -> bool:
         bot, top = self._require_bounded()
@@ -389,15 +394,12 @@ class MoebiusTable:
         return self.values[(self.poset.index(x), self.poset.index(y))]
 
 
-def certify_supersolvable(p: FinitePoset, chain: Sequence[int],
-                          tables: LatticeCheck | None = None) -> bool:
+def certify_supersolvable(p: FinitePoset, chain: Sequence[int]) -> bool:
     """Graded lattice with a left-modular maximal chain; the only route
     by which this library asserts supersolvability."""
-    if tables is None:
-        tables = p.lattice_check()
-    if not tables.is_lattice:
+    if not p.lattice_check().is_lattice:
         return False
     graded, _ = p.is_graded()
     if not graded:
         return False
-    return p.is_left_modular_chain(chain, tables)
+    return p.is_left_modular_chain(chain)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism, DOT."""
 
+import hashlib
 import json
 
 import pytest
@@ -66,6 +67,14 @@ class TestVerify:
         assert report["verdicts"]["lattice"] is False
         assert len(report["verdicts"]["lattice_witness"]["pair"]) == 2
 
+    def test_graded_suite_builds_no_tables(self, runner, monkeypatch):
+        def no_tables(self):
+            raise AssertionError("lattice tables built for --suite graded")
+
+        monkeypatch.setattr("ncpe.posets.FinitePoset._lattice", property(no_tables))
+        code, report = run_json(runner, "verify", "-n", "5", "--suite", "graded")
+        assert code == 0 and report["verdicts"] == {"graded": True}
+
     def test_leftmod_on_pchn_rejected(self, runner, monkeypatch):
         def no_build(target, n):
             raise AssertionError("poset built before the usage check")
@@ -123,6 +132,16 @@ class TestNbbChainsLabel:
         assert report["bases"] == 14 and report["mobius"] == 14
         assert report["census"] == {"S1": 2, "S2": 5, "R": 5, "kept": 4}
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_classify_small_n_is_usage_error(self, runner, monkeypatch, n):
+        def no_search(n, ambient):
+            raise AssertionError("bases enumerated before the size check")
+
+        monkeypatch.setattr("ncpe.cli.enumerate_nbb_bases_top", no_search)
+        result = runner.invoke(main, ["nbb", "-n", n, "--classify"])
+        assert result.exit_code == 2
+        assert "n >= 3" in result.output
+
     def test_nbb_trees_export(self, runner, tmp_path):
         out = tmp_path / "trees.dot"
         result = runner.invoke(main, ["nbb", "-n", "4", "--trees", str(out)])
@@ -178,6 +197,30 @@ class TestProbeIntervals:
 
 
 class TestDeterminism:
+    # sha256 of the --json stdout, pinned so that a reordered block, key or
+    # element shows up in the tests
+    PINNED = {
+        "build nc -n 5":
+            "45dd2ed50446557eea1d2ffd391558a9428197d6baf33ffba3d23d1b1ebb090f",
+        "verify -n 5":
+            "b3879458aa414bf84c18461027132d944c7d20e8e704627c9524453fc38faf15",
+        "mobius -n 6":
+            "3270f341615c56b8271c51a19fddfb67be093d30c50ac3a7f57501afb7fdf687",
+        "nbb -n 6 --classify":
+            "aba93fc0c12b7ce4ed1392f41c8135fd9d584f8f938698291186c673a884547e",
+        "label -n 5 --scheme parking":
+            "93562b1a71c0ef1b136f5766fb61c534c315418bd54af7acb11077fbed62d9fe",
+        "probe-intervals -n 7":
+            "a24f9cf4f40e1d113a6b9801c1ce100f557844b3efd0a53e82b2b6bfddb134d2",
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_pinned_json_digest(self, runner, command):
+        result = runner.invoke(main, [*command.split(), "--json"])
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert digest == self.PINNED[command]
+
     def test_byte_identical_json(self, runner):
         args = ["verify", "-n", "4", "--target", "pe-dref", "--json"]
         first = runner.invoke(main, args).output

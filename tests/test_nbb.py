@@ -8,10 +8,10 @@ import pytest
 
 from ncpe.builders import (BuildError, build_nc, build_pe_dref, catalan,
                            enumerate_noncrossing, pe_join)
-from ncpe.nbb import (Atom, _ambient_join, atom_rank, atoms_by_rank,
-                      base_to_tree, classification_census, classify_base,
+from ncpe.nbb import (Atom, _ambient_join, atom_rank, base_to_tree,
+                      classification_census, classify_base,
                       enumerate_nbb_bases_top, is_bb, moebius_via_nbb,
-                      nbb_bases, nc_atoms, pe_atoms)
+                      nbb_bases, nc_atoms, pe_atoms, ranked_atoms)
 from ncpe.partitions import SetPartition, nc_join, parse_partition
 
 
@@ -21,6 +21,17 @@ def atoms_cross(a: Atom, b: Atom) -> bool:
     i, j = a
     k, l = b
     return i < k < j < l or k < i < l < j
+
+
+def atoms_by_rank(n, ambient):
+    """Atoms grouped by rank 1, ..., n-1, each group sorted by (i, j)."""
+    atoms = nc_atoms(n) if ambient == "nc" else pe_atoms(n)
+    groups = [[] for _ in range(n - 1)]
+    for a in atoms:
+        groups[atom_rank(a, n) - 1].append(a)
+    for g in groups:
+        g.sort()
+    return groups
 
 
 def is_nbb(base, n, ambient):
@@ -74,10 +85,10 @@ class TestAtomOrder:
         assert set(nc_atoms(5)) - set(pe_atoms(5)) == {Atom(1, 4), Atom(4, 5)}
 
     def test_groups_partition_ranks(self):
-        groups = atoms_by_rank(5, "nc")
-        assert [len(g) for g in groups] == [1, 2, 3, 4]
-        assert groups[0] == [Atom(1, 5)]
-        assert Atom(2, 5) in groups[1]
+        pool = ranked_atoms(5, "nc")
+        assert list(pool.values()) == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
+        assert list(pool)[:3] == [Atom(1, 5), Atom(1, 2), Atom(2, 5)]
+        assert all(pool[a] == atom_rank(a, 5) for a in pool)
 
     def test_crossing(self):
         assert atoms_cross(Atom(1, 3), Atom(2, 4))
@@ -86,6 +97,12 @@ class TestAtomOrder:
 
 
 class TestBB:
+    def test_atom_outside_pool_rejected(self):
+        with pytest.raises(BuildError):
+            is_bb({Atom(1, 4)}, 5, "pe")
+        with pytest.raises(BuildError):
+            is_bb({Atom(2, 6)}, 5, "nc")
+
     def test_same_rank_pair_is_bb(self):
         assert is_bb({Atom(2, 4), Atom(3, 4)}, 5, "nc")
 
@@ -188,6 +205,15 @@ class TestClassification:
     def test_rejects_non_base(self):
         with pytest.raises(BuildError):
             classify_base((Atom(2, 3),), 4)
+
+    def test_census_needs_n_at_least_3(self, monkeypatch):
+        def no_search(n, ambient):
+            raise AssertionError("bases enumerated before the size check")
+
+        monkeypatch.setattr("ncpe.nbb.enumerate_nbb_bases_top", no_search)
+        for n in (1, 2):
+            with pytest.raises(BuildError, match="n >= 3"):
+                classification_census(n)
 
 
 class TestOracle:

@@ -1,9 +1,13 @@
 """Core set-partition type, order predicates, and lattice operations."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncpe.builders import enumerate_partitions
 from ncpe.partitions import (MAX_N, PartitionError, SetPartition,
                              join_partition, meet_partition, nc_closure,
                              nc_join, nc_meet, parse_partition)
@@ -32,10 +36,13 @@ class TestConstruction:
         x = SetPartition.of(4, [[3, 2], [4, 1]])
         assert x.blocks == ((1, 4), (2, 3))
         assert str(x) == "14|23"
+        assert x.code == (0, 1, 1, 0) and x == SetPartition(4, (0, 1, 1, 0))
 
     def test_noncanonical_rejected(self):
-        with pytest.raises(PartitionError):
-            SetPartition(3, ((2, 1), (3,)))
+        # the code must be a restricted growth string of length n
+        for code in [(1, 0, 0), (0, 2, 1), (0, -1, 0), (0, 0)]:
+            with pytest.raises(PartitionError):
+                SetPartition(3, code)
 
     def test_cover_and_disjoint_validation(self):
         with pytest.raises(PartitionError):
@@ -149,3 +156,91 @@ class TestMeetJoin:
     def test_leq_iff_meet(self, x, y):
         assert x.leq_dref(y) == (meet_partition(x, y) == x)
         assert x.leq_dref(y) == (join_partition(x, y) == y)
+
+
+# -- oracle: the pairwise and fixpoint definitions on block tuples ----------
+
+def blocks_cross(a, b):
+    """a and b cross iff their elements alternate a, b, a, b somewhere."""
+    merged = sorted([(e, 0) for e in a] + [(e, 1) for e in b])
+    alternations = sum(
+        1 for (_, s), (_, t) in zip(merged, merged[1:]) if s != t)
+    return alternations >= 3
+
+
+def oracle_blocks(code):
+    """Blocks of a restricted growth string, each sorted, by minimum."""
+    groups = {}
+    for e, c in enumerate(code, start=1):
+        groups.setdefault(c, []).append(e)
+    return tuple(sorted((tuple(sorted(b)) for b in groups.values()),
+                        key=lambda b: b[0]))
+
+
+def oracle_is_noncrossing(x):
+    return not any(blocks_cross(a, b) for a, b in combinations(x.blocks, 2))
+
+
+def oracle_nc_closure(x):
+    """Merge a crossing pair and restart, until no pair crosses."""
+    blocks = [set(b) for b in x.blocks]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in combinations(range(len(blocks)), 2):
+            if blocks_cross(sorted(blocks[i]), sorted(blocks[j])):
+                blocks[i] |= blocks.pop(j)
+                changed = True
+                break
+    return SetPartition.of(x.n, blocks)
+
+
+def oracle_meet(x, y):
+    return SetPartition.of(x.n, [set(b) & set(c) for b in x.blocks
+                                 for c in y.blocks if set(b) & set(c)])
+
+
+def oracle_join(x, y):
+    """Connected components of the elements linked by a block of x or y."""
+    blocks = [set(b) for b in x.blocks]
+    for c in y.blocks:
+        touched = [b for b in blocks if b & set(c)]
+        blocks = [b for b in blocks if not b & set(c)] + [set().union(*touched)]
+    return SetPartition.of(x.n, blocks)
+
+
+def oracle_leq(x, y):
+    return all(any(set(b) <= set(c) for c in y.blocks) for b in x.blocks)
+
+
+def oracle_merge(x, i, j):
+    bi = next(b for b in x.blocks if i in b)
+    bj = next(b for b in x.blocks if j in b)
+    rest = [b for b in x.blocks if b not in (bi, bj)]
+    return SetPartition.of(x.n, rest + [set(bi) | set(bj)])
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unary_operations(self, n):
+        for x in enumerate_partitions(n):
+            assert x.blocks == oracle_blocks(x.code)
+            assert SetPartition.of(n, reversed(x.blocks)) == x
+            assert x.is_noncrossing == oracle_is_noncrossing(x)
+            assert nc_closure(x) == oracle_nc_closure(x)
+            assert x.rank() == n - len(x.blocks)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_binary_operations(self, n):
+        """Every pair at n <= 5; from n = 6 on, every x against a fixed
+        sample of 8 partners."""
+        members = enumerate_partitions(n)
+        rng = random.Random(n)
+        for x in members:
+            partners = members if n <= 5 else rng.sample(members, 8)
+            for y in partners:
+                assert meet_partition(x, y) == oracle_meet(x, y)
+                assert join_partition(x, y) == oracle_join(x, y)
+                assert x.leq_dref(y) == oracle_leq(x, y)
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            assert x.merge(i, j) == oracle_merge(x, i, j)
