@@ -35,7 +35,9 @@ class Atom(NamedTuple):
     i: int
     j: int
 
+    @lru_cache(maxsize=None)
     def partition(self, n: int) -> SetPartition:
+        """Built once per (atom, n), so its noncrossing test runs once."""
         return SetPartition.bottom(n).merge(self.i, self.j)
 
     def __str__(self) -> str:

@@ -263,41 +263,42 @@ class FinitePoset:
 
     @cached_property
     def _lattice(self) -> LatticeCheck:
-        n = len(self.keys)
-        join = np.full((n, n), -1, dtype=np.int64)
-        meet = np.full((n, n), -1, dtype=np.int64)
-        h = self.height
-        leq = self.leq
-        for i in range(n):
-            for j in range(i, n):
-                ub = leq[i] & leq[j]
-                z = _unique_extremum(ub, h, leq, least=True)
-                if z is None:
-                    return LatticeCheck(False, witness=(self.keys[i], self.keys[j]),
-                                        reason="no unique join")
-                join[i, j] = join[j, i] = z
-                lb = leq[:, i] & leq[:, j]
-                z = _unique_extremum(lb, h, leq, least=False)
-                if z is None:
-                    return LatticeCheck(False, witness=(self.keys[i], self.keys[j]),
-                                        reason="no unique meet")
-                meet[i, j] = meet[j, i] = z
-        return LatticeCheck(True, meet=meet, join=join)
+        leq, h = self.leq, self.height
+        join = _extremum_table(leq, self.upper_covers, reversed(self._topo), h)
+        meet = _extremum_table(leq.T, self.lower_covers, self._topo, -h)
+        if (join >= 0).all() and (meet >= 0).all():
+            return LatticeCheck(True, meet=meet, join=join)
+        # the first failing pair (i, j >= i) in row-major order, join
+        # before meet; an undecided entry is settled by the definition
+        for i, j in zip(*np.nonzero(np.triu((join < 0) | (meet < 0)))):
+            if join[i, j] == -1 or (join[i, j] == -2 and _unique_extremum(
+                    leq[i] & leq[j], h, leq, least=True) is None):
+                reason = "no unique join"
+            elif meet[i, j] == -1 or (meet[i, j] == -2 and _unique_extremum(
+                    leq[:, i] & leq[:, j], h, leq, least=False) is None):
+                reason = "no unique meet"
+            else:
+                continue
+            return LatticeCheck(False, witness=(self.keys[i], self.keys[j]),
+                                reason=reason)
+        raise AssertionError("negative table entry without a failing pair")
 
-    def is_modular_pair(self, x: int, z: int) -> bool:
-        """xMz: (y v x) ^ z == y v (x ^ z) for every y <= z."""
+    def _modular_columns(self, x: int) -> np.ndarray:
+        """Per z, whether xMz: (y v x) ^ z == y v (x ^ z) for every y <= z."""
         tables = self._lattice
         if not tables.is_lattice:
             raise PosetError("modular pairs are defined only in lattices")
         join, meet = tables.join, tables.meet
-        xz = meet[x, z]
-        for y in np.flatnonzero(self.leq[:, z]):
-            if meet[join[y, x], z] != join[y, xz]:
-                return False
-        return True
+        lhs = meet[join[:, x][:, None], np.arange(len(self.keys))]
+        rhs = join[:, meet[x, :]]
+        return ((lhs == rhs) | ~self.leq).all(axis=0)
+
+    def is_modular_pair(self, x: int, z: int) -> bool:
+        """xMz: (y v x) ^ z == y v (x ^ z) for every y <= z."""
+        return bool(self._modular_columns(x)[z])
 
     def is_left_modular(self, x: int) -> bool:
-        return all(self.is_modular_pair(x, z) for z in range(len(self.keys)))
+        return bool(self._modular_columns(x).all())
 
     def is_left_modular_chain(self, chain: Sequence[int]) -> bool:
         """True iff the (maximal) chain consists of left-modular elements."""
@@ -319,12 +320,6 @@ class FinitePoset:
             "covers": [[i, j] for i, j in sorted(self.covers)],
         }, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FinitePoset":
-        data = json.loads(text)
-        return cls.from_covers(data["elements"],
-                               [tuple(p) for p in data["covers"]])
-
     def to_dot(self, edge_labels: dict[tuple[int, int], int] | None = None) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
         for i, k in enumerate(self.keys):
@@ -336,6 +331,37 @@ class FinitePoset:
             lines.append(f"  n{i} -> n{j}{attr};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _extremum_table(leq: np.ndarray, covers: list[list[int]],
+                    order: Iterable[int], height: np.ndarray) -> np.ndarray:
+    """Join table by the cover recursion (the meet table is the same call
+    on the dual: leq.T, lower covers, forward order and -height).
+
+    Rows are filled in an order that puts every upper cover of x before
+    x.  For y incomparable to x every upper bound of x and y lies above
+    some upper cover c of x, so join(x, y) is the least of the
+    join(c, y), if one of them lies below all the others, and no join
+    exists otherwise (-1).  When some join(c, y) is itself undefined the
+    entry is undecided (-2): join(x, y) may still exist.
+    """
+    n = leq.shape[0]
+    table = np.full((n, n), -1,
+                    dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+    for x in order:
+        above, below = leq[x], leq[:, x]
+        table[x, above] = np.flatnonzero(above)
+        table[x, below] = x
+        rest = np.flatnonzero(~(above | below))
+        if len(rest) == 0 or not covers[x]:
+            continue  # a maximal x shares no upper bound with any such y
+        cand = table[covers[x]][:, rest]
+        undecided = (cand < 0).any(axis=0)
+        cand[cand < 0] = 0  # any valid index; these entries end undecided
+        best = cand[height[cand].argmin(axis=0), np.arange(len(rest))]
+        least = leq[best, cand].all(axis=0)
+        table[x, rest] = np.where(undecided, -2, np.where(least, best, -1))
+    return table
 
 
 def _unique_extremum(mask: np.ndarray, height: np.ndarray,

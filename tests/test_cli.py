@@ -197,29 +197,30 @@ class TestProbeIntervals:
 
 
 class TestDeterminism:
-    # sha256 of the --json stdout, pinned so that a reordered block, key or
-    # element shows up in the tests
+    # exit code and sha256 of the --json stdout, pinned so that a reordered
+    # block, key or element, or a changed witness, shows up in the tests
     PINNED = {
-        "build nc -n 5":
-            "45dd2ed50446557eea1d2ffd391558a9428197d6baf33ffba3d23d1b1ebb090f",
-        "verify -n 5":
-            "b3879458aa414bf84c18461027132d944c7d20e8e704627c9524453fc38faf15",
-        "mobius -n 6":
-            "3270f341615c56b8271c51a19fddfb67be093d30c50ac3a7f57501afb7fdf687",
-        "nbb -n 6 --classify":
-            "aba93fc0c12b7ce4ed1392f41c8135fd9d584f8f938698291186c673a884547e",
-        "label -n 5 --scheme parking":
-            "93562b1a71c0ef1b136f5766fb61c534c315418bd54af7acb11077fbed62d9fe",
-        "probe-intervals -n 7":
-            "a24f9cf4f40e1d113a6b9801c1ce100f557844b3efd0a53e82b2b6bfddb134d2",
+        "build nc -n 5": (0,
+            "45dd2ed50446557eea1d2ffd391558a9428197d6baf33ffba3d23d1b1ebb090f"),
+        "verify -n 5": (0,
+            "b3879458aa414bf84c18461027132d944c7d20e8e704627c9524453fc38faf15"),
+        "verify -n 6 --target pe-pchn": (1,
+            "4215424e0af1e39a3663cc60f14fced8119773874389fa0b03acabbe98c1a750"),
+        "mobius -n 6": (0,
+            "3270f341615c56b8271c51a19fddfb67be093d30c50ac3a7f57501afb7fdf687"),
+        "nbb -n 6 --classify": (0,
+            "aba93fc0c12b7ce4ed1392f41c8135fd9d584f8f938698291186c673a884547e"),
+        "label -n 5 --scheme parking": (0,
+            "93562b1a71c0ef1b136f5766fb61c534c315418bd54af7acb11077fbed62d9fe"),
+        "probe-intervals -n 7": (0,
+            "a24f9cf4f40e1d113a6b9801c1ce100f557844b3efd0a53e82b2b6bfddb134d2"),
     }
 
     @pytest.mark.parametrize("command", sorted(PINNED))
     def test_pinned_json_digest(self, runner, command):
         result = runner.invoke(main, [*command.split(), "--json"])
-        assert result.exit_code == 0
         digest = hashlib.sha256(result.stdout.encode()).hexdigest()
-        assert digest == self.PINNED[command]
+        assert (result.exit_code, digest) == self.PINNED[command]
 
     def test_byte_identical_json(self, runner):
         args = ["verify", "-n", "4", "--target", "pe-dref", "--json"]

@@ -1,12 +1,15 @@
 """Generic finite-poset engine: construction, chains, grading, Moebius,
 lattice and modularity checks."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ncpe.builders import build_nc, build_pe_dref
+from ncpe.builders import build_nc, build_pe_dref, build_pi
 from ncpe.parking import build_pe_pchn
-from ncpe.posets import FinitePoset, PosetError, certify_supersolvable
+from ncpe.posets import (FinitePoset, LatticeCheck, PosetError,
+                         _unique_extremum, certify_supersolvable)
 
 # pentagon: bottom < a < c < top, bottom < b < top
 N5 = FinitePoset.from_covers(
@@ -24,6 +27,43 @@ CHAIN3 = FinitePoset.from_covers([0, 1, 2], [(0, 1), (1, 2)])
 BOWTIE = FinitePoset.from_covers(
     list("0abxy1"),
     [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+
+# join(x, y) = z exists although join(c, y) does not (c < u, v and
+# y < z < u, v): the cover recursion must not take an undefined join of
+# a cover as proof that no join exists
+ABOVE_UNDEFINED = FinitePoset.from_covers(
+    list("0xyczuv1"),
+    [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (4, 5), (4, 6), (3, 5), (3, 6),
+     (5, 7), (6, 7)])
+
+
+def from_json(text: str) -> FinitePoset:
+    data = json.loads(text)
+    return FinitePoset.from_covers(data["elements"],
+                                   [tuple(p) for p in data["covers"]])
+
+
+def pairwise_lattice(p: FinitePoset) -> LatticeCheck:
+    """The lattice test by definition: for every pair (i, j >= i) in
+    row-major order, the unique least upper bound, then the unique
+    greatest lower bound; the first pair without one is the witness."""
+    n = len(p.keys)
+    join = np.full((n, n), -1, dtype=np.int64)
+    meet = np.full((n, n), -1, dtype=np.int64)
+    h, leq = p.height, p.leq
+    for i in range(n):
+        for j in range(i, n):
+            z = _unique_extremum(leq[i] & leq[j], h, leq, least=True)
+            if z is None:
+                return LatticeCheck(False, witness=(p.keys[i], p.keys[j]),
+                                    reason="no unique join")
+            join[i, j] = join[j, i] = z
+            z = _unique_extremum(leq[:, i] & leq[:, j], h, leq, least=False)
+            if z is None:
+                return LatticeCheck(False, witness=(p.keys[i], p.keys[j]),
+                                    reason="no unique meet")
+            meet[i, j] = meet[j, i] = z
+    return LatticeCheck(True, meet=meet, join=join)
 
 
 def from_order_oracle(keys, leq_fn) -> FinitePoset:
@@ -110,7 +150,7 @@ class TestConstruction:
             assert sorted(again.covers) == sorted(p.covers)
 
     def test_json_roundtrip(self):
-        q = FinitePoset.from_json(N5.to_json())
+        q = from_json(N5.to_json())
         assert q.keys == N5.keys
         assert sorted(q.covers) == sorted(N5.covers)
         assert np.array_equal(q.leq, N5.leq)
@@ -222,3 +262,52 @@ class TestLatticeAndModularity:
     def test_modular_pair_requires_lattice(self):
         with pytest.raises(PosetError):
             BOWTIE.is_modular_pair(BOWTIE.index("a"), BOWTIE.index("x"))
+
+
+class TestLatticeOracle:
+    """The cover recursion against the pairwise definition."""
+
+    LATTICES = ([(f"nc{n}", lambda n=n: build_nc(n)) for n in range(1, 8)]
+                + [(f"pe{n}", lambda n=n: build_pe_dref(n)) for n in range(3, 8)]
+                + [(f"pi{n}", lambda n=n: build_pi(n)) for n in range(1, 6)]
+                + [("N5", lambda: N5), ("M3", lambda: M3),
+                   ("divisors60", lambda: divisors_poset(60))])
+    NON_LATTICES = ([(f"pe-pchn{n}", lambda n=n: build_pe_pchn(n))
+                     for n in range(5, 9)]
+                    + [("bowtie", lambda: BOWTIE),
+                       ("0xyczuv1", lambda: ABOVE_UNDEFINED)])
+
+    @pytest.mark.parametrize("build", [b for _, b in LATTICES],
+                             ids=[name for name, _ in LATTICES])
+    def test_tables_match(self, build):
+        p = build()
+        fast, slow = p.lattice_check(), pairwise_lattice(p)
+        assert fast.is_lattice and slow.is_lattice
+        assert fast.join.dtype == fast.meet.dtype == np.int16
+        assert np.array_equal(fast.join, slow.join)
+        assert np.array_equal(fast.meet, slow.meet)
+
+    @pytest.mark.parametrize("build", [b for _, b in NON_LATTICES],
+                             ids=[name for name, _ in NON_LATTICES])
+    def test_witness_matches(self, build):
+        p = build()
+        fast, slow = p.lattice_check(), pairwise_lattice(p)
+        assert not fast.is_lattice and fast.meet is None and fast.join is None
+        assert (fast.witness, fast.reason) == (slow.witness, slow.reason)
+
+    def test_join_above_undefined_join(self):
+        assert ABOVE_UNDEFINED.lattice_check().witness == ("y", "c")
+
+    @pytest.mark.parametrize("build", [lambda: build_nc(5),
+                                       lambda: build_pe_dref(5),
+                                       lambda: divisors_poset(60)],
+                             ids=["nc5", "pe5", "divisors60"])
+    def test_modular_pairs_by_definition(self, build):
+        p = build()
+        t = pairwise_lattice(p)
+        for x in range(len(p.keys)):
+            cols = [all(t.meet[t.join[y, x], z] == t.join[y, t.meet[x, z]]
+                        for y in np.flatnonzero(p.leq[:, z]))
+                    for z in range(len(p.keys))]
+            assert [p.is_modular_pair(x, z) for z in range(len(p.keys))] == cols
+            assert p.is_left_modular(x) == all(cols)
