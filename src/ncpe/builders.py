@@ -81,31 +81,37 @@ def is_pe_member(x: SetPartition) -> bool:
         raise BuildError(f"PE is defined for n >= 3, got n={x.n}")
     if not x.is_noncrossing:
         raise PartitionError(f"crossing input: {x}")
-    n = x.n
-    if (n - 1, n) in x.blocks:
-        return False
-    if (n,) in x.blocks and x.same_block(1, n - 1):
-        return False
-    return True
+    return _is_pe_code(x.code)
+
+
+def _is_pe_code(code: tuple[int, ...]) -> bool:
+    """The PE exclusions read off the code of a noncrossing partition of
+    [n], n >= 3: n and n-1 share a block that has no other element, or n
+    is alone in its block while 1 and n-1 share one."""
+    last = code[-1]
+    if code[-2] == last:
+        return code.count(last) != 2
+    return code.count(last) != 1 or code[0] != code[-2]
 
 
 @lru_cache(maxsize=None)
 def pe_members(n: int) -> tuple[SetPartition, ...]:
     if not (3 <= n <= PE_MAX_N):
         raise BuildError(f"PE construction supports 3 <= n <= {PE_MAX_N}, got n={n}")
-    return tuple(x for x in enumerate_noncrossing(n) if is_pe_member(x))
+    return tuple(x for x in enumerate_noncrossing(n) if _is_pe_code(x.code))
 
 
 # -- poset construction --------------------------------------------------
 
 def _merge_covers(members: list[SetPartition]) -> list[tuple[int, int]]:
     """Cover pairs within a family closed under the 'merge two blocks'
-    cover rule of the dual refinement order."""
-    index = {x: i for i, x in enumerate(members)}
+    cover rule of the dual refinement order, found on the codes: no
+    partition is built for a candidate."""
+    index = {x.code: i for i, x in enumerate(members)}
     covers: list[tuple[int, int]] = []
     for i, x in enumerate(members):
-        for a, b in combinations([blk[0] for blk in x.blocks], 2):
-            j = index.get(x.merge(a, b))
+        for a, b in combinations(range(max(x.code) + 1), 2):
+            j = index.get(x.merged_code(a, b))
             if j is not None:
                 covers.append((i, j))
     return covers

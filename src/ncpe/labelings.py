@@ -12,7 +12,9 @@ word is weakly decreasing.  The label poset is always the integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +36,17 @@ class EdgeLabeling:
         if set(self.labels) != set(self.poset.covers):
             raise LabelingError("label domain must be exactly the cover set")
 
+    @cached_property
+    def _by_lower(self) -> list[dict[int, int]]:
+        """Per element a, the labels of its covers (a, b), keyed by b."""
+        out: list[dict[int, int]] = [{} for _ in self.poset.keys]
+        for (a, b), label in self.labels.items():
+            out[a][b] = label
+        return out
+
     def word(self, chain: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.labels[(a, b)] for a, b in zip(chain, chain[1:]))
+        return tuple(map(dict.__getitem__, map(self._by_lower.__getitem__, chain),
+                         chain[1:]))
 
     def restrict(self, poset: FinitePoset) -> "EdgeLabeling":
         """Restriction to a poset on the same keys with a subset of the
@@ -50,11 +61,11 @@ class EdgeLabeling:
 
 
 def is_rising(word: Sequence[int]) -> bool:
-    return all(a < b for a, b in zip(word, word[1:]))
+    return all(map(operator.lt, word, word[1:]))
 
 
 def is_weakly_decreasing(word: Sequence[int]) -> bool:
-    return all(a >= b for a, b in zip(word, word[1:]))
+    return all(map(operator.ge, word, word[1:]))
 
 
 def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence) -> EdgeLabeling:
@@ -124,7 +135,8 @@ class ELVerdict:
 
 def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     """Exhaustive EL check: in every interval, exactly one rising maximal
-    chain, whose word is strictly lexicographically least."""
+    chain, whose word is strictly lexicographically least (the least
+    word, and no other chain has it: it would be rising too)."""
     poset._require_bounded()
     n = len(poset.keys)
     for x in range(n):
@@ -135,9 +147,7 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
             chains = poset.interval_maximal_chains(x, int(y))
             words = [labeling.word(c) for c in chains]
             rising = [w for w in words if is_rising(w)]
-            ok = len(rising) == 1 and all(
-                w == rising[0] or rising[0] < w for w in words)
-            if not ok:
+            if len(rising) != 1 or rising[0] != min(words):
                 return ELVerdict(False, witness={
                     "interval": (str(poset.keys[x]), str(poset.keys[int(y)])),
                     "rising_chains": [
@@ -168,11 +178,3 @@ def count_decreasing_chains(poset: FinitePoset, labeling: EdgeLabeling) -> int:
     for an EL-shellable poset this equals |mu(bottom, top)|."""
     return sum(1 for chain in poset.iter_maximal_chains()
                if is_weakly_decreasing(labeling.word(chain)))
-
-
-def unique_rising_chain(poset: FinitePoset, labeling: EdgeLabeling) -> tuple[int, ...]:
-    rising = [c for c in poset.iter_maximal_chains()
-              if is_rising(labeling.word(c))]
-    if len(rising) != 1:
-        raise PosetError(f"expected one rising maximal chain, found {len(rising)}")
-    return rising[0]

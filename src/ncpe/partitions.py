@@ -11,7 +11,7 @@ pure and return fresh partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 MAX_N = 16
@@ -83,10 +83,11 @@ class SetPartition:
         a, b = sorted((self.code[i - 1], self.code[j - 1]))
         if a == b:
             return self
-        # the merged block keeps the lower index; the blocks after b
-        # move down by one, which keeps the code a restricted growth string
-        return SetPartition(self.n, tuple(
-            a if c == b else c - (c > b) for c in self.code))
+        return SetPartition(self.n, self.merged_code(a, b))
+
+    def merged_code(self, a: int, b: int) -> tuple[int, ...]:
+        """The code with blocks a < b merged, without building a partition."""
+        return tuple(map(_merge_relabel(a, b).__getitem__, self.code))
 
     def leq_dref(self, other: "SetPartition") -> bool:
         """True iff every block of self lies inside a block of other."""
@@ -105,6 +106,14 @@ class SetPartition:
 
     def __repr__(self) -> str:
         return f"SetPartition({self.n}, {self!s})"
+
+
+@lru_cache(maxsize=None)
+def _merge_relabel(a: int, b: int) -> tuple[int, ...]:
+    """Block relabelling that merges block b into block a < b; the
+    blocks after b move down by one, which keeps the code a restricted
+    growth string."""
+    return tuple(a if c == b else c - (c > b) for c in range(MAX_N))
 
 
 def _from_labels(n: int, labels: Iterable) -> SetPartition:

@@ -167,21 +167,29 @@ class FinitePoset:
     def _saturated_chains(self, x: int, y: int) -> Iterator[tuple[int, ...]]:
         """All saturated x-to-y chains as index tuples, in lexicographic
         order of element indices (covers of an interval coincide with
-        covers of the full poset)."""
-        up, leq = self.upper_covers, self.leq
-        stack = [x]
-
-        def dfs(v: int) -> Iterator[tuple[int, ...]]:
-            if v == y:
-                yield tuple(stack)
-                return
-            for w in up[v]:
-                if leq[w, y]:
-                    stack.append(w)
-                    yield from dfs(w)
-                    stack.pop()
-
-        return dfs(x)
+        covers of the full poset).  Depth-first with an explicit stack of
+        successor iterators; each element's successors below y are
+        filtered once per call."""
+        if x == y:
+            yield (x,)
+            return
+        up, below = self.upper_covers, self.leq[:, y].tolist()
+        succ: dict[int, list[int]] = {}
+        chain = [x]
+        stack = [iter([w for w in up[x] if below[w]])]
+        while stack:
+            w = next(stack[-1], None)
+            if w is None:
+                stack.pop()
+                chain.pop()
+            elif w == y:
+                yield (*chain, y)
+            else:
+                ws = succ.get(w)
+                if ws is None:
+                    ws = succ[w] = [v for v in up[w] if below[v]]
+                chain.append(w)
+                stack.append(iter(ws))
 
     def iter_maximal_chains(self) -> Iterator[tuple[int, ...]]:
         """All bottom-to-top saturated chains, lexicographically."""
@@ -228,14 +236,6 @@ class FinitePoset:
         return int(self.height[self.top])
 
     # -- Moebius function --------------------------------------------------
-
-    def moebius(self) -> "MoebiusTable":
-        """Moebius values for all comparable pairs."""
-        values: dict[tuple[int, int], int] = {}
-        for y in range(len(self.keys)):
-            for x, v in self._moebius_to(y).items():
-                values[(x, y)] = v
-        return MoebiusTable(self, values)
 
     def moebius_bottom_top(self) -> int:
         bot, top = self._require_bounded()
@@ -406,18 +406,6 @@ def _topological_order(n: int, up: list[list[int]], indeg: list[int]) -> list[in
     if len(order) != n:
         raise PosetError("cover relation contains a cycle")
     return order
-
-
-@dataclass
-class MoebiusTable:
-    """Moebius values mu(x, y) for every comparable pair, indexed by
-    element position."""
-
-    poset: FinitePoset
-    values: dict[tuple[int, int], int]
-
-    def by_key(self, x: Hashable, y: Hashable) -> int:
-        return self.values[(self.poset.index(x), self.poset.index(y))]
 
 
 def certify_supersolvable(p: FinitePoset, chain: Sequence[int]) -> bool:

@@ -2,14 +2,17 @@
 distinguished chain."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from ncpe.builders import (BuildError, build_nc, build_pe_dref, build_pi,
-                           catalan, chain_element, distinguished_chain,
-                           enumerate_noncrossing, enumerate_partitions,
-                           is_pe_member, pe_join, pe_meet, pe_members)
-from ncpe.partitions import (SetPartition, nc_join, nc_meet, parse_partition)
+from ncpe.builders import (BuildError, _is_pe_code, _merge_covers, build_nc,
+                           build_pe_dref, build_pi, catalan, chain_element,
+                           distinguished_chain, enumerate_noncrossing,
+                           enumerate_partitions, is_pe_member, pe_join,
+                           pe_meet, pe_members)
+from ncpe.partitions import (PartitionError, SetPartition, nc_join, nc_meet,
+                             parse_partition)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -51,6 +54,45 @@ class TestPEMembership:
     def test_rejects_small_n(self):
         with pytest.raises(BuildError):
             is_pe_member(SetPartition.bottom(2))
+
+    def test_rejects_crossing_input(self):
+        with pytest.raises(PartitionError):
+            is_pe_member(parse_partition("13|24"))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_code_predicate_matches_blocks(self, n):
+        """The exclusions read off the code agree with the definition on
+        blocks, on every noncrossing partition of [n]."""
+        for x in enumerate_noncrossing(n):
+            by_blocks = (n - 1, n) not in x.blocks and not (
+                (n,) in x.blocks and x.same_block(1, n - 1))
+            assert _is_pe_code(x.code) == by_blocks == is_pe_member(x)
+
+
+def oracle_merge_covers(members):
+    """The cover search on partitions: each candidate is built by
+    SetPartition.merge and looked up in an index keyed by partition."""
+    index = {x: i for i, x in enumerate(members)}
+    covers = []
+    for i, x in enumerate(members):
+        for a, b in combinations([blk[0] for blk in x.blocks], 2):
+            j = index.get(x.merge(a, b))
+            if j is not None:
+                covers.append((i, j))
+    return covers
+
+
+FAMILIES = {"pi": enumerate_partitions, "nc": enumerate_noncrossing,
+            "pe": lambda n: list(pe_members(n))}
+
+
+class TestMergeCoversOracle:
+    @pytest.mark.parametrize("family, n", [
+        *(("pi", n) for n in range(1, 7)), *(("nc", n) for n in range(1, 9)),
+        *(("pe", n) for n in range(3, 10))])
+    def test_same_cover_list(self, family, n):
+        members = FAMILIES[family](n)
+        assert _merge_covers(members) == oracle_merge_covers(members)
 
 
 class TestPosets:

@@ -214,6 +214,15 @@ class TestDeterminism:
             "93562b1a71c0ef1b136f5766fb61c534c315418bd54af7acb11077fbed62d9fe"),
         "probe-intervals -n 7": (0,
             "a24f9cf4f40e1d113a6b9801c1ce100f557844b3efd0a53e82b2b6bfddb134d2"),
+        "build pe-dref -n 6": (0,
+            "a38a9ad700bfb02abe39b0179effd0d1f77e89bd7ea8e3e7caa897c77194d373"),
+        "build pi -n 5": (0,
+            "78958e77cf31feb0ee03d2b3b3444c0604b2d297c287235db0a73a6e2939a3a0"),
+        "label -n 6 --target nc --scheme usual --check-el": (0,
+            "3920f40c4aa6697b98795ac4b823346bf3eb70073e4c140a0d4a789df652140b"),
+        # exit 1 with the EL witness: the first interval that fails
+        "label -n 5 --target pe-dref --scheme usual --check-el": (1,
+            "aa631d75baa964955ca3d9828b9ed61bc912a7641699b2918fa198642431a33a"),
     }
 
     @pytest.mark.parametrize("command", sorted(PINNED))

@@ -6,10 +6,11 @@ import pytest
 from ncpe.builders import build_nc, build_pe_dref, distinguished_chain
 from ncpe.labelings import (LabelingError, count_decreasing_chains, is_rising,
                             is_weakly_decreasing, left_modular_labeling,
-                            parking_label, parking_labeling, unique_rising_chain,
-                            usual_labeling, verify_el, verify_sn_el)
+                            parking_label, parking_labeling, usual_labeling,
+                            verify_el, verify_sn_el)
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import parse_partition
+from reference import unique_rising_chain
 
 
 def leftmod(n, build=build_pe_dref):

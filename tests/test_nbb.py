@@ -13,6 +13,7 @@ from ncpe.nbb import (Atom, _ambient_join, atom_rank, base_to_tree,
                       enumerate_nbb_bases_top, is_bb, moebius_via_nbb,
                       nbb_bases, nc_atoms, pe_atoms, ranked_atoms)
 from ncpe.partitions import SetPartition, nc_join, parse_partition
+from reference import moebius_table
 
 
 # -- brute-force oracle: the NBB definition checked subset by subset ---------
@@ -233,11 +234,11 @@ class TestArbitraryElement:
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_signed_counts_match_recursion(self, n):
         p = build_nc(n)
-        table = p.moebius()
+        table = moebius_table(p)
         bottom = p.bottom
         for k, x in enumerate(p.keys):
             bases = nbb_bases(n, "nc", x)
-            assert sum((-1) ** len(b) for b in bases) == table.values[(bottom, k)]
+            assert sum((-1) ** len(b) for b in bases) == table[(bottom, k)]
 
     def test_bottom_has_empty_base(self):
         assert nbb_bases(4, "nc", SetPartition.bottom(4)) == [()]

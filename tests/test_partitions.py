@@ -244,3 +244,11 @@ class TestOracle:
                 assert x.leq_dref(y) == oracle_leq(x, y)
             i, j = rng.randint(1, n), rng.randint(1, n)
             assert x.merge(i, j) == oracle_merge(x, i, j)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_merged_code(self, n):
+        """Every block pair of every partition of [n]."""
+        for x in enumerate_partitions(n):
+            for a, b in combinations(range(len(x.blocks)), 2):
+                want = oracle_merge(x, x.blocks[a][0], x.blocks[b][0])
+                assert x.merged_code(a, b) == want.code
