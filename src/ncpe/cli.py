@@ -256,7 +256,7 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--count-only", is_flag=True,
               help="Count the avoiding chains by path counting, without "
-                   "materializing them (required at n=8 for speed).")
+                   "materializing them.")
 @click.option("--words", "show_words", is_flag=True,
               help="Include the parking words of the avoiding chains.")
 @click.option("--json", "as_json", is_flag=True)
@@ -265,9 +265,9 @@ def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> None:
     and the family avoiding the label n-1 (cap 3<=n<=8)."""
     started = time.monotonic()
     try:
+        avoiding = count_D(n)  # checks the size cap before n ** (n - 2)
         report: dict = {"command": "chains", "n": n,
-                        "all_chains": n ** (n - 2),
-                        "avoiding": count_D(n)}
+                        "all_chains": n ** (n - 2), "avoiding": avoiding}
         if not count_only:
             family = build_D(n)
             if len(family) != report["avoiding"]:

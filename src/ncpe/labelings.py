@@ -53,9 +53,13 @@ class EdgeLabeling:
         cover relations."""
         labels = {}
         for i, j in poset.covers:
-            orig = (self.poset.index(poset.keys[i]), self.poset.index(poset.keys[j]))
+            x, y = poset.keys[i], poset.keys[j]
+            try:
+                orig = (self.poset.index(x), self.poset.index(y))
+            except KeyError as exc:
+                raise LabelingError(f"{exc.args[0]} not in original poset") from None
             if orig not in self.labels:
-                raise LabelingError(f"cover {poset.keys[i]} < {poset.keys[j]} not in original poset")
+                raise LabelingError(f"cover {x} < {y} not in original poset")
             labels[(i, j)] = self.labels[orig]
         return EdgeLabeling(poset, labels)
 

@@ -259,7 +259,7 @@ def classify_base(base: tuple[Atom, ...], n: int) -> Classification:
     tree = base_to_tree(base, n)
     r = tree.neighbors(n) == [1]
     rest = atoms - {root}
-    if all(a in set(pe_atoms(n)) for a in rest):
+    if all(a in ranked_atoms(n, "pe") for a in rest):
         joins_top = _ambient_join(rest, n, "pe") == SetPartition.top(n)
         if joins_top != r:
             raise AssertionError(

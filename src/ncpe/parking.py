@@ -3,21 +3,23 @@ chain family avoiding the label n-1, and the chain-defined order on the
 PE family.
 
 The parking labeling sends each maximal chain of the noncrossing
-lattice to a parking function of length n-1 (bijectively).  Dropping
-every chain whose word contains n-1 leaves a chain family whose cover
-union defines a second, coarser order on exactly the PE ground set; that
-poset is graded but not a lattice for n >= 5, its Moebius value between
-bottom and top is 0, and the restricted left-modular labeling is still
-an EL-labeling.
+lattice to a parking function of length n-1 (bijectively).  By
+definition, the chain-defined order is the cover union of the chains
+whose word avoids n-1; it is built here as the dual refinement order
+on PE minus its covers labeled n-1, and the avoiding chains are read
+off as its maximal chains.  The definition itself (enumerate the
+chains of the noncrossing lattice and keep the avoiding ones) is the
+test oracle.  The order is graded but not a lattice for n >= 5, its
+Moebius value between bottom and top is 0, and the restricted
+left-modular labeling is still an EL-labeling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .builders import (BuildError, build_nc, build_pe_dref, distinguished_chain,
-                       pe_members)
+from .builders import BuildError, build_pe_dref, distinguished_chain
 from .labelings import (EdgeLabeling, ELVerdict, count_decreasing_chains,
                         left_modular_labeling, parking_label, verify_el)
 from .partitions import SetPartition
@@ -56,73 +58,48 @@ def _check_n(n: int) -> None:
             f"chain machinery supports {PCHN_MIN_N} <= n <= {PCHN_MAX_N}, got n={n}")
 
 
-def iter_all_chains(n: int) -> Iterator[tuple[SetPartition, ...]]:
-    """All maximal chains of the noncrossing lattice, lexicographically
-    by element index."""
+def _split_covers(pe: FinitePoset, n: int
+                  ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The dref covers of PE, each labeled once: those whose parking
+    label is not n-1 (kept) and those labeled n-1 (removed)."""
+    kept: list[tuple[int, int]] = []
+    removed: list[tuple[int, int]] = []
+    for i, j in pe.covers:
+        side = removed if parking_label(pe.keys[i], pe.keys[j]) == n - 1 else kept
+        side.append((i, j))
+    return kept, removed
+
+
+def build_pe_pchn(n: int) -> FinitePoset:
+    """The chain-defined order on the PE ground set: the dref covers
+    whose parking label is not n-1, closed transitively."""
     _check_n(n)
-    p = build_nc(n)
-    for chain in p.iter_maximal_chains():
-        yield tuple(p.keys[v] for v in chain)
+    pe = build_pe_dref(n)
+    kept, _ = _split_covers(pe, n)
+    return FinitePoset.from_covers(pe.keys, kept)
 
 
 def build_D(n: int) -> list[tuple[SetPartition, ...]]:
-    """The maximal chains whose parking word avoids the value n-1."""
-    return [chain for chain in iter_all_chains(n)
-            if n - 1 not in chain_parking_word(chain)]
+    """The maximal chains of the noncrossing lattice whose parking word
+    avoids the value n-1: the maximal chains of the chain-defined order,
+    lexicographically by element index."""
+    p = build_pe_pchn(n)
+    return [tuple(p.keys[v] for v in chain) for chain in p.iter_maximal_chains()]
 
 
 def count_D(n: int) -> int:
     """Size of the avoiding-chain family without storing chains: path
-    count from bottom to top through the covers not labeled n-1."""
-    _check_n(n)
-    p = build_nc(n)
-    up, _ = p.path_counts(_retained_covers(p, n))
-    return up[p.top]
-
-
-def _retained_covers(p: FinitePoset, n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i, j in p.covers
-            if parking_label(p.keys[i], p.keys[j]) != n - 1]
-
-
-def build_pe_pchn(n: int) -> FinitePoset:
-    """The poset on the PE ground set whose covers are those appearing
-    in some chain of the avoiding family; the order is the transitive
-    closure of these covers.
-
-    Built twice and cross-checked: from the chain family (the
-    definition), and as the dref cover relation minus the covers labeled
-    n-1.  The ground set is asserted to be exactly the PE family.
-    """
-    _check_n(n)
-    p = build_nc(n)
-    retained = _retained_covers(p, n)
-    up, down = p.path_counts(retained)
-    on_chain = [(i, j) for i, j in retained if up[i] > 0 and down[j] > 0]
-    elements = sorted({v for c in on_chain for v in c})
-    if {p.keys[v] for v in elements} != set(pe_members(n)):
-        raise AssertionError(f"chain-union ground set differs from PE at n={n}")
-    chain_covers = {(p.keys[i], p.keys[j]) for i, j in on_chain}
-
-    pe = build_pe_dref(n)
-    dref_covers = {(pe.keys[i], pe.keys[j]) for i, j in pe.covers
-                   if parking_label(pe.keys[i], pe.keys[j]) != n - 1}
-    if chain_covers != dref_covers:
-        raise AssertionError(
-            f"chain-union covers differ from label-filtered dref covers at n={n}")
-
-    members = list(pe.keys)
-    index = {x: i for i, x in enumerate(members)}
-    return FinitePoset.from_covers(
-        members, sorted((index[x], index[y]) for x, y in chain_covers))
+    count from bottom to top of the chain-defined order."""
+    p = build_pe_pchn(n)
+    return p.path_counts(p.covers)[0][p.top]
 
 
 def removed_covers(n: int) -> list[tuple[SetPartition, SetPartition]]:
-    """The dref covers of PE absent from the chain-defined order; all of
-    them carry parking label n-1."""
+    """The dref covers of PE absent from the chain-defined order: those
+    carrying parking label n-1."""
     pe = build_pe_dref(n)
-    return [(pe.keys[i], pe.keys[j]) for i, j in pe.covers
-            if parking_label(pe.keys[i], pe.keys[j]) == n - 1]
+    _, removed = _split_covers(pe, n)
+    return [(pe.keys[i], pe.keys[j]) for i, j in removed]
 
 
 @dataclass
@@ -175,9 +152,10 @@ def verify_restriction_el(n: int) -> RestrictionVerdict:
     _check_n(n)
     pe = build_pe_dref(n)
     lam = left_modular_labeling(pe, distinguished_chain(n).elements)
-    removed = removed_covers(n)
+    kept, removed_pairs = _split_covers(pe, n)
+    removed = [(pe.keys[i], pe.keys[j]) for i, j in removed_pairs]
     witnesses = [(x, y, dominating_witness(x, y, lam)) for x, y in removed]
-    pchn = build_pe_pchn(n)
+    pchn = FinitePoset.from_covers(pe.keys, kept)
     restricted = lam.restrict(pchn)
     verdict = verify_el(pchn, restricted)
     decreasing = count_decreasing_chains(pchn, restricted)

@@ -16,10 +16,9 @@ from ncpe.labelings import (count_decreasing_chains, left_modular_labeling,
 from ncpe.nbb import (Atom, base_to_tree, classification_census,
                       enumerate_nbb_bases_top, moebius_via_nbb)
 from ncpe.parking import (build_pe_pchn, chain_parking_word, count_D,
-                          is_parking_function, iter_all_chains,
-                          verify_restriction_el)
+                          is_parking_function, verify_restriction_el)
 from ncpe.posets import FinitePoset
-from reference import moebius_table, unique_rising_chain
+from reference import iter_all_chains, moebius_table, unique_rising_chain
 
 
 def _verdict(num: int, name: str, ok: bool, elapsed: float) -> None:

@@ -159,6 +159,12 @@ class TestNbbChainsLabel:
         code, report = run_json(runner, "chains", "-n", "7", "--count-only")
         assert code == 0 and report["avoiding"] == 9031
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_chains_small_n_is_usage_error(self, runner, n):
+        result = runner.invoke(main, ["chains", "-n", n, "--json"])
+        assert result.exit_code == 2
+        assert "3 <= n <= 8" in result.output
+
     def test_label_check_el_failure(self, runner):
         result = runner.invoke(
             main, ["label", "-n", "3", "--target", "pe-pchn",
@@ -223,6 +229,14 @@ class TestDeterminism:
         # exit 1 with the EL witness: the first interval that fails
         "label -n 5 --target pe-dref --scheme usual --check-el": (1,
             "aa631d75baa964955ca3d9828b9ed61bc912a7641699b2918fa198642431a33a"),
+        "build pe-pchn -n 6": (0,
+            "41457caffb60e04dd130f1ea57cde1d223b63945564bcdfde90f6dedbd5f27e7"),
+        "chains -n 6 --words": (0,
+            "0cd88e7e6d2de01726182d5686d300e36e0c75d81b5c16d63d16427eb0e16693"),
+        "mobius -n 6 --target pe-pchn": (0,
+            "0393a69d8650e72d343a05e4d7a68572bc223bb535a49663f18b90f4babada45"),
+        "label -n 6 --target pe-pchn": (0,
+            "204039e7b016774a43e7730650316817169added1979559a0d0aa96e29de53e3"),
     }
 
     @pytest.mark.parametrize("command", sorted(PINNED))

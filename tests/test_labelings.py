@@ -118,6 +118,11 @@ class TestDecreasingChains:
         q, mu = leftmod(n)
         assert count_decreasing_chains(q, mu) == pe_count
 
+    def test_restrict_to_foreign_keys_rejected(self):
+        _, lam = leftmod(4)
+        with pytest.raises(LabelingError, match="not in original poset"):
+            lam.restrict(build_nc(4))
+
     def test_restriction(self):
         n = 4
         p, lam = leftmod(n)

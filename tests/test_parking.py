@@ -5,14 +5,18 @@ from itertools import product
 
 import pytest
 
-from ncpe.builders import BuildError, distinguished_chain
-from ncpe.labelings import LabelingError
-from ncpe.parking import (build_D, build_pe_pchn, chain_parking_word, count_D,
-                          dominating_witness, is_parking_function,
-                          iter_all_chains, removed_covers,
+from ncpe import builders, parking
+from ncpe.builders import BuildError, build_pe_dref, distinguished_chain
+from ncpe.labelings import LabelingError, parking_label
+from ncpe.parking import (PCHN_MAX_N, PCHN_MIN_N, build_D, build_pe_pchn,
+                          chain_parking_word, count_D, dominating_witness,
+                          is_parking_function, removed_covers,
                           verify_restriction_el)
 from ncpe.partitions import parse_partition
 from ncpe.posets import PosetError
+from reference import avoiding_chain_count, chain_family_order, iter_all_chains
+
+ADVERTISED_N = range(PCHN_MIN_N, PCHN_MAX_N + 1)
 
 
 class TestParkingFunctions:
@@ -121,6 +125,51 @@ class TestChainOrder:
             for j in range(len(p.keys)):
                 if p.leq[i, j]:
                     assert p.keys[i].leq_dref(p.keys[j])
+
+
+class TestChainFamilyOracle:
+    """The chain-defined order and the avoiding family, built from the
+    dref order, against their definition on the chains of NC_n."""
+
+    @pytest.mark.parametrize("n", ADVERTISED_N)
+    def test_order_equals_chain_family(self, n):
+        p, oracle = build_pe_pchn(n), chain_family_order(n)
+        assert p.keys == oracle.keys
+        assert p.covers == oracle.covers
+
+    @pytest.mark.parametrize("n", ADVERTISED_N)
+    def test_count_equals_nc_path_count(self, n):
+        assert count_D(n) == avoiding_chain_count(n)
+
+    @pytest.mark.parametrize("n", range(PCHN_MIN_N, 7))
+    def test_family_equals_filtered_chains(self, n):
+        assert build_D(n) == [c for c in iter_all_chains(n)
+                              if n - 1 not in chain_parking_word(c)]
+
+    @pytest.mark.parametrize("n", ADVERTISED_N)
+    def test_removed_covers_are_the_dref_difference(self, n):
+        pe, kept = build_pe_dref(n), set(build_pe_pchn(n).covers)
+        difference = [(pe.keys[i], pe.keys[j]) for i, j in pe.covers
+                      if (i, j) not in kept]
+        removed = removed_covers(n)
+        assert removed == difference
+        assert all(parking_label(x, y) == n - 1 for x, y in removed)
+
+    def test_restriction_builds_dref_once_and_no_nc(self, monkeypatch):
+        def no_nc(n):
+            raise AssertionError("noncrossing lattice built")
+
+        calls = []
+
+        def counting_dref(n):
+            calls.append(n)
+            return build_pe_dref(n)
+
+        monkeypatch.setattr(parking, "build_nc", no_nc, raising=False)
+        monkeypatch.setattr(builders, "build_nc", no_nc)
+        monkeypatch.setattr(parking, "build_pe_dref", counting_dref)
+        assert verify_restriction_el(5).ok
+        assert calls == [5]
 
 
 class TestRestrictionEL:
