@@ -6,7 +6,6 @@ here), together with its native meet and join.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -177,20 +176,13 @@ def _require_pe(x: SetPartition) -> None:
 
 # -- the distinguished left-modular chain -----------------------------------
 
-@dataclass(frozen=True)
-class DistinguishedChain:
-    """The chain whose i-th element has unique non-singleton block
-    {1, ..., i-1} u {n}; runs from the discrete to the full partition."""
-
-    n: int
-    elements: tuple[SetPartition, ...]
-
-
 def chain_element(n: int, i: int) -> SetPartition:
     if not (1 <= i <= n):
         raise BuildError(f"chain index {i} out of range for n={n}")
     return SetPartition.of(n, [[*range(1, i), n]] + [[e] for e in range(i, n)])
 
 
-def distinguished_chain(n: int) -> DistinguishedChain:
-    return DistinguishedChain(n, tuple(chain_element(n, i) for i in range(1, n + 1)))
+def distinguished_chain(n: int) -> tuple[SetPartition, ...]:
+    """The chain whose i-th element has unique non-singleton block
+    {1, ..., i-1} u {n}; runs from the discrete to the full partition."""
+    return tuple(chain_element(n, i) for i in range(1, n + 1))

@@ -24,7 +24,7 @@ from .labelings import (EdgeLabeling, count_decreasing_chains,
                         usual_labeling, verify_el, verify_sn_el)
 from .nbb import (Atom, base_to_tree, check_nbb_size, classification_census,
                   enumerate_nbb_bases_top, moebius_via_nbb)
-from .parking import build_D, build_pe_pchn, chain_parking_word, count_D
+from .parking import build_pe_pchn, count_D
 from .partitions import PartitionError, SetPartition, parse_partition
 from .posets import FinitePoset, PosetError
 
@@ -32,16 +32,13 @@ TARGETS = ("pi", "nc", "pe-dref", "pe-pchn")
 
 
 def _build(target: str, n: int) -> FinitePoset:
-    try:
-        if target == "pi":
-            return build_pi(n)
-        if target == "nc":
-            return build_nc(n)
-        if target == "pe-dref":
-            return build_pe_dref(n)
-        return build_pe_pchn(n)
-    except BuildError as exc:
-        raise click.UsageError(str(exc))
+    if target == "pi":
+        return build_pi(n)
+    if target == "nc":
+        return build_nc(n)
+    if target == "pe-dref":
+        return build_pe_dref(n)
+    return build_pe_pchn(n)
 
 
 def _labeling(target: str, n: int, poset: FinitePoset, scheme: str) -> EdgeLabeling:
@@ -53,9 +50,9 @@ def _labeling(target: str, n: int, poset: FinitePoset, scheme: str) -> EdgeLabel
         return usual_labeling(poset)
     if target == "pe-pchn":
         dref = build_pe_dref(n)
-        lam = left_modular_labeling(dref, distinguished_chain(n).elements)
+        lam = left_modular_labeling(dref, distinguished_chain(n))
         return lam.restrict(poset)
-    return left_modular_labeling(poset, distinguished_chain(n).elements)
+    return left_modular_labeling(poset, distinguished_chain(n))
 
 
 def _emit(report: dict, as_json: bool, failed: bool, started: float) -> None:
@@ -81,9 +78,23 @@ def _print_human(report: dict, indent: int = 0) -> None:
             click.echo(f"{pad}{key}: {value}")
 
 
+class _Command(click.Command):
+    """A subcommand that reports a size cap or malformed input, raised
+    as `BuildError` or `PartitionError`, as a usage error (exit 2)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (BuildError, PartitionError) as exc:
+            raise click.UsageError(str(exc), ctx) from None
+
+
 @click.group()
 def main() -> None:
     """Exact computations on noncrossing-partition posets."""
+
+
+main.command_class = _Command
 
 
 @main.command()
@@ -144,7 +155,7 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
     if suite in ("graded", "all"):
         verdicts["graded"] = poset.is_graded()[0]
     if suite in ("leftmod", "all") and target != "pe-pchn" and tables.is_lattice:
-        chain = [poset.index(x) for x in distinguished_chain(n).elements]
+        chain = [poset.index(x) for x in distinguished_chain(n)]
         verdicts["left_modular_chain"] = poset.is_left_modular_chain(chain)
     if suite in ("el", "sn-el", "all"):
         lam = _labeling(target, n, poset, "leftmod")
@@ -181,10 +192,7 @@ def mobius(n: int, target: str, method: str, as_json: bool) -> None:
     ambient = "nc" if target == "nc" else "pe"
     use_nbb = method in ("nbb", "all") and target != "pe-pchn"
     if use_nbb:
-        try:
-            check_nbb_size(n, ambient)
-        except BuildError as exc:
-            raise click.UsageError(str(exc))
+        check_nbb_size(n, ambient)
     poset = _build(target, n)
     values: dict[str, int] = {}
     if method in ("recursion", "all"):
@@ -232,11 +240,8 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
     started = time.monotonic()
     if do_classify and ambient != "nc":
         raise click.UsageError("--classify applies to the nc ambient")
-    try:
-        census = classification_census(n) if do_classify else None
-        bases = enumerate_nbb_bases_top(n, ambient)
-    except BuildError as exc:
-        raise click.UsageError(str(exc))
+    census = classification_census(n) if do_classify else None
+    bases = enumerate_nbb_bases_top(n, ambient)
     report = {
         "command": "nbb", "ambient": ambient, "n": n,
         "bases": len(bases), "mobius": moebius_via_nbb(n, ambient),
@@ -255,8 +260,7 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
 @main.command()
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--count-only", is_flag=True,
-              help="Count the avoiding chains by path counting, without "
-                   "materializing them.")
+              help="Report only the count; no words even with --words.")
 @click.option("--words", "show_words", is_flag=True,
               help="Include the parking words of the avoiding chains.")
 @click.option("--json", "as_json", is_flag=True)
@@ -264,19 +268,16 @@ def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> None:
     """Maximal chains of the noncrossing lattice as parking functions,
     and the family avoiding the label n-1 (cap 3<=n<=8)."""
     started = time.monotonic()
-    try:
-        avoiding = count_D(n)  # checks the size cap before n ** (n - 2)
-        report: dict = {"command": "chains", "n": n,
-                        "all_chains": n ** (n - 2), "avoiding": avoiding}
-        if not count_only:
-            family = build_D(n)
-            if len(family) != report["avoiding"]:
-                raise AssertionError("chain count and enumeration disagree")
-            if show_words:
-                report["words"] = sorted(
-                    "".join(map(str, chain_parking_word(c))) for c in family)
-    except BuildError as exc:
-        raise click.UsageError(str(exc))
+    avoiding = count_D(n)  # checks the size cap before n ** (n - 2)
+    report: dict = {"command": "chains", "n": n,
+                    "all_chains": n ** (n - 2), "avoiding": avoiding}
+    if show_words and not count_only:
+        lam = parking_labeling(build_pe_pchn(n))
+        words = sorted("".join(map(str, lam.word(c)))
+                       for c in lam.poset.iter_maximal_chains())
+        if len(words) != avoiding:
+            raise AssertionError("chain count and enumeration disagree")
+        report["words"] = words
     _emit(report, as_json, failed=False, started=started)
 
 
@@ -325,17 +326,14 @@ def probe_intervals(n: int, lower: str | None, as_json: bool) -> None:
     """Cardinality of the interval [lower, top] in the PE family under
     dual refinement (membership filtering; no poset matrix needed)."""
     started = time.monotonic()
-    try:
-        members = pe_members(n)
-        if lower is None:
-            x = Atom(n - 2, n - 1).partition(n)
-        else:
-            x = parse_partition(lower, n)
-        if x not in set(members):
-            raise click.UsageError(f"{x} is not in the PE family for n={n}")
-        count = sum(1 for z in members if x.leq_dref(z))
-    except (BuildError, PartitionError) as exc:
-        raise click.UsageError(str(exc))
+    members = pe_members(n)
+    if lower is None:
+        x = Atom(n - 2, n - 1).partition(n)
+    else:
+        x = parse_partition(lower, n)
+    if x not in set(members):
+        raise click.UsageError(f"{x} is not in the PE family for n={n}")
+    count = sum(1 for z in members if x.leq_dref(z))
     report = {"command": "probe-intervals", "n": n, "lower": str(x),
               "interval_size": count}
     _emit(report, as_json, failed=False, started=started)

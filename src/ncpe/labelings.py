@@ -99,20 +99,20 @@ def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence) -> EdgeLabel
     return EdgeLabeling(poset, labels)
 
 
-def _merged_blocks(x: SetPartition, y: SetPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two blocks of x merged in y, ordered by minimum."""
-    joined = [b for b in x.blocks if b not in y.blocks]
-    if len(joined) != 2 or x.merge(joined[0][0], joined[1][0]) != y:
-        raise LabelingError(f"cover {x} < {y} is not a two-block merge")
-    return joined[0], joined[1]
-
-
 def parking_label(x: SetPartition, y: SetPartition) -> int:
     """Largest element of the lower merged block below every element of
-    the upper merged block."""
-    b1, b2 = _merged_blocks(x, y)
-    lo = min(b2)
-    return max(j for j in b1 if j <= lo)
+    the upper merged block.
+
+    Read off the codes: at the first position e where they differ, x has
+    the upper block b (e + 1 is its least element) and y the lower block
+    a, and y must be x with blocks a and b merged.  A restricted growth
+    string equal to x before e holds no value above b at e, so a < b.
+    """
+    e = next((k for k, (c, d) in enumerate(zip(x.code, y.code)) if c != d), None)
+    if e is None or y.code != x.merged_code(y.code[e], x.code[e]):
+        raise LabelingError(f"cover {x} < {y} is not a two-block merge")
+    a = y.code[e]
+    return 1 + max(k for k in range(e) if x.code[k] == a)
 
 
 def parking_labeling(poset: FinitePoset) -> EdgeLabeling:
@@ -123,12 +123,10 @@ def parking_labeling(poset: FinitePoset) -> EdgeLabeling:
 
 def usual_labeling(poset: FinitePoset) -> EdgeLabeling:
     """Classical labeling of the noncrossing partition lattice: n minus
-    the largest element of the lower block below the upper block."""
-    labels = {}
-    for i, j in poset.covers:
-        x = poset.keys[i]
-        labels[(i, j)] = x.n - parking_label(x, poset.keys[j])
-    return EdgeLabeling(poset, labels)
+    the parking label."""
+    n = poset.keys[0].n
+    return EdgeLabeling(poset, {edge: n - label for edge, label
+                                in parking_labeling(poset).labels.items()})
 
 
 @dataclass

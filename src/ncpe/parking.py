@@ -151,7 +151,7 @@ def verify_restriction_el(n: int) -> RestrictionVerdict:
     weakly decreasing maximal chain and Moebius value 0."""
     _check_n(n)
     pe = build_pe_dref(n)
-    lam = left_modular_labeling(pe, distinguished_chain(n).elements)
+    lam = left_modular_labeling(pe, distinguished_chain(n))
     kept, removed_pairs = _split_covers(pe, n)
     removed = [(pe.keys[i], pe.keys[j]) for i, j in removed_pairs]
     witnesses = [(x, y, dominating_witness(x, y, lam)) for x, y in removed]

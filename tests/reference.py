@@ -1,11 +1,12 @@
 """Definitions that only the tests use: the full Moebius table of a poset,
-the unique rising maximal chain of an edge labeling, and the chain family
-of the noncrossing lattice that defines the chain-defined order on PE."""
+the unique rising maximal chain of an edge labeling, the parking label by
+its block-set rule, and the chain family of the noncrossing lattice that
+defines the chain-defined order on PE."""
 
 from typing import Iterator
 
 from ncpe.builders import build_nc, pe_members
-from ncpe.labelings import EdgeLabeling, is_rising, parking_label
+from ncpe.labelings import EdgeLabeling, LabelingError, is_rising, parking_label
 from ncpe.partitions import SetPartition
 from ncpe.posets import FinitePoset
 
@@ -21,6 +22,18 @@ def unique_rising_chain(p: FinitePoset, labeling: EdgeLabeling) -> tuple[int, ..
     rising = [c for c in p.iter_maximal_chains() if is_rising(labeling.word(c))]
     assert len(rising) == 1, f"expected one rising maximal chain, found {len(rising)}"
     return rising[0]
+
+
+def block_set_parking_label(x: SetPartition, y: SetPartition) -> int:
+    """The parking label by its definition on blocks: the two blocks of x
+    that are not blocks of y must merge into y, and the label is the
+    largest element of the lower one below the least element of the
+    upper one."""
+    joined = [b for b in x.blocks if b not in y.blocks]
+    if len(joined) != 2 or x.merge(joined[0][0], joined[1][0]) != y:
+        raise LabelingError(f"cover {x} < {y} is not a two-block merge")
+    lower, upper = joined
+    return max(j for j in lower if j <= upper[0])
 
 
 def iter_all_chains(n: int) -> Iterator[tuple[SetPartition, ...]]:

@@ -46,7 +46,7 @@ def test_criterion_2_lattice_graded_supersolvable():
     for n in range(3, 8):
         p = build_pe_dref(n)
         tables = p.lattice_check()
-        chain = [p.index(x) for x in distinguished_chain(n).elements]
+        chain = [p.index(x) for x in distinguished_chain(n)]
         ok = ok and tables.is_lattice and p.is_graded()[0] \
             and p.is_left_modular_chain(chain)
     elapsed = time.monotonic() - start
@@ -59,11 +59,11 @@ def test_criterion_3_el_verification():
     for build in (build_nc, build_pe_dref):
         for n in range(3, 7):
             p = build(n)
-            lam = left_modular_labeling(p, distinguished_chain(n).elements)
+            lam = left_modular_labeling(p, distinguished_chain(n))
             ok = ok and verify_el(p, lam).el and verify_sn_el(p, lam)
             rising = unique_rising_chain(p, lam)
             ok = ok and tuple(p.keys[v] for v in rising) == \
-                distinguished_chain(n).elements
+                distinguished_chain(n)
     elapsed = time.monotonic() - start
     _verdict(3, "EL verification", ok and elapsed < 300, elapsed)
 
@@ -73,13 +73,13 @@ def test_criterion_4_mobius_triple_agreement():
     ok = True
     for n in range(3, 8):
         nc = build_nc(n)
-        lam = left_modular_labeling(nc, distinguished_chain(n).elements)
+        lam = left_modular_labeling(nc, distinguished_chain(n))
         sign = (-1) ** (n - 1)
         values = {nc.moebius_bottom_top(), moebius_via_nbb(n, "nc"),
                   sign * count_decreasing_chains(nc, lam)}
         ok = ok and values == {sign * catalan(n - 1)}
         pe = build_pe_dref(n)
-        mu = left_modular_labeling(pe, distinguished_chain(n).elements)
+        mu = left_modular_labeling(pe, distinguished_chain(n))
         closed = sign * (comb(2 * n - 5, n - 4) * 4 // n if n >= 4 else 0)
         values = {pe.moebius_bottom_top(), moebius_via_nbb(n, "pe"),
                   sign * count_decreasing_chains(pe, mu)}

@@ -199,13 +199,13 @@ class TestNCJoinMinimality:
 
 class TestDistinguishedChain:
     def test_elements(self):
-        c = distinguished_chain(4).elements
+        c = distinguished_chain(4)
         assert [str(x) for x in c] == ["1|2|3|4", "14|2|3", "124|3", "1234"]
         assert chain_element(5, 3) == parse_partition("125|3|4")
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_chain_is_maximal_and_pe(self, n):
-        c = distinguished_chain(n).elements
+        c = distinguished_chain(n)
         assert len(c) == n
         assert all(is_pe_member(x) for x in c)
         assert all(a.leq_dref(b) and b.rank() == a.rank() + 1
@@ -215,5 +215,5 @@ class TestDistinguishedChain:
     def test_left_modular_in_nc_and_pe(self, n):
         for build in (build_nc, build_pe_dref):
             p = build(n)
-            chain = [p.index(x) for x in distinguished_chain(n).elements]
+            chain = [p.index(x) for x in distinguished_chain(n)]
             assert p.is_left_modular_chain(chain)

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from ncpe.cli import main
+from ncpe.parking import build_D, chain_parking_word
 
 
 @pytest.fixture
@@ -159,6 +160,13 @@ class TestNbbChainsLabel:
         code, report = run_json(runner, "chains", "-n", "7", "--count-only")
         assert code == 0 and report["avoiding"] == 9031
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_chains_words_equal_chain_words(self, runner, n):
+        _, report = run_json(runner, "chains", "-n", str(n), "--words")
+        want = sorted("".join(map(str, chain_parking_word(c))) for c in build_D(n))
+        assert report["words"] == want
+        assert len(report["words"]) == report["avoiding"]
+
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_chains_small_n_is_usage_error(self, runner, n):
         result = runner.invoke(main, ["chains", "-n", n, "--json"])
@@ -202,6 +210,30 @@ class TestProbeIntervals:
         assert "non-integer" in result.output
 
 
+# each command with the size cap it advertises: (arguments, low, high)
+CAPS = [
+    ("build pi", 1, 9), ("build nc", 1, 10), ("build pe-dref", 3, 10),
+    ("build pe-pchn", 3, 8),
+    ("verify", 3, 10), ("verify --target nc", 1, 10),
+    ("verify --target pe-pchn", 3, 8),
+    ("mobius", 3, 9), ("mobius --target nc", 1, 9), ("mobius --target pe-pchn", 3, 8),
+    ("nbb", 1, 9), ("nbb --ambient pe", 3, 9),
+    ("chains", 3, 8), ("chains --words", 3, 8),
+    ("label", 3, 10), ("label --target nc", 1, 10), ("label --target pe-pchn", 3, 8),
+    ("probe-intervals", 3, 10),
+]
+
+
+@pytest.mark.parametrize("command,low,high,n", [
+    (command, low, high, n) for command, low, high in CAPS for n in (low - 1, high + 1)])
+def test_cap_refusal_is_usage_error(runner, command, low, high, n):
+    result = runner.invoke(main, [*command.split(), "-n", str(n), "--json"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{low} <= n <= {high}, got n={n}" in result.output
+    assert "Traceback" not in result.output
+
+
 class TestDeterminism:
     # exit code and sha256 of the --json stdout, pinned so that a reordered
     # block, key or element, or a changed witness, shows up in the tests
@@ -237,6 +269,14 @@ class TestDeterminism:
             "0393a69d8650e72d343a05e4d7a68572bc223bb535a49663f18b90f4babada45"),
         "label -n 6 --target pe-pchn": (0,
             "204039e7b016774a43e7730650316817169added1979559a0d0aa96e29de53e3"),
+        "chains -n 7 --words": (0,
+            "b9acd4a6b3d28dc301d905dd9a36b12b49a6010469560f249aaa9ecce687bc76"),
+        "chains -n 8": (0,
+            "b98e4966e518f6b95f62b1b926012df445e1fb9452c86fb42a3e75f49ec0a212"),
+        "label -n 6 --target pe-pchn --scheme parking": (0,
+            "ccf6aec52e2279330654a0a4e339db6911d79d56269b6e11023c62023c382904"),
+        "label -n 6 --target pe-pchn --scheme usual": (0,
+            "a65d64ddb095f85cf84da7760d85b1d914f29d308bf3a5cf0550927195e5f02c"),
     }
 
     @pytest.mark.parametrize("command", sorted(PINNED))

@@ -1,21 +1,31 @@
 """Edge labelings: left-modular, parking, and the classical scheme, with
 exhaustive EL verification."""
 
+from itertools import product
+
 import pytest
 
-from ncpe.builders import build_nc, build_pe_dref, distinguished_chain
+from ncpe.builders import (build_nc, build_pe_dref, build_pi, distinguished_chain,
+                           enumerate_partitions)
 from ncpe.labelings import (LabelingError, count_decreasing_chains, is_rising,
                             is_weakly_decreasing, left_modular_labeling,
                             parking_label, parking_labeling, usual_labeling,
                             verify_el, verify_sn_el)
 from ncpe.parking import build_pe_pchn
-from ncpe.partitions import parse_partition
-from reference import unique_rising_chain
+from ncpe.partitions import SetPartition, parse_partition
+from reference import block_set_parking_label, unique_rising_chain
+
+
+def label_or_error(label, x, y):
+    try:
+        return label(x, y)
+    except LabelingError as exc:
+        return str(exc)
 
 
 def leftmod(n, build=build_pe_dref):
     p = build(n)
-    return p, left_modular_labeling(p, distinguished_chain(n).elements)
+    return p, left_modular_labeling(p, distinguished_chain(n))
 
 
 class TestWords:
@@ -69,7 +79,7 @@ class TestLeftModularLabeling:
     def test_rising_chain_is_distinguished(self, n):
         p, lam = leftmod(n)
         rising = unique_rising_chain(p, lam)
-        assert tuple(p.keys[v] for v in rising) == distinguished_chain(n).elements
+        assert tuple(p.keys[v] for v in rising) == distinguished_chain(n)
 
 
 class TestParkingLabeling:
@@ -88,6 +98,34 @@ class TestParkingLabeling:
     def test_non_cover_rejected(self):
         with pytest.raises(LabelingError):
             parking_label(parse_partition("1|2|3|4"), parse_partition("123|4"))
+
+    def test_equals_block_set_rule_on_all_pairs(self):
+        # every ordered pair of Pi_4 u Pi_5, mixed ground sets included:
+        # the same label, or the same LabelingError
+        family = enumerate_partitions(4) + enumerate_partitions(5)
+        for x, y in product(family, repeat=2):
+            assert (label_or_error(parking_label, x, y)
+                    == label_or_error(block_set_parking_label, x, y)), (x, y)
+
+    @pytest.mark.parametrize("build,n", [(build_pi, 6), (build_nc, 8)])
+    def test_equals_block_set_rule_on_covers(self, build, n):
+        p = build(n)
+        for i, j in p.covers:
+            x, y = p.keys[i], p.keys[j]
+            assert parking_label(x, y) == block_set_parking_label(x, y), (x, y)
+
+    def test_labeling_builds_no_partition(self, monkeypatch):
+        p = build_nc(7)
+        created = []
+        original = SetPartition.__post_init__
+
+        def counting(self):
+            created.append(self)
+            original(self)
+
+        monkeypatch.setattr(SetPartition, "__post_init__", counting)
+        parking_labeling(p)
+        assert created == []
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_usual_is_el_on_nc(self, n):

@@ -44,8 +44,8 @@ class TestChainWords:
         assert chain_parking_word(chain) == (1, 1, 1)
 
     def test_distinguished_chain_word(self):
-        assert chain_parking_word(distinguished_chain(4).elements) == (1, 1, 2)
-        assert chain_parking_word(distinguished_chain(6).elements) == (1, 1, 2, 3, 4)
+        assert chain_parking_word(distinguished_chain(4)) == (1, 1, 2)
+        assert chain_parking_word(distinguished_chain(6)) == (1, 1, 2, 3, 4)
 
     def test_rejects_partial_chain(self):
         with pytest.raises(LabelingError):
@@ -187,7 +187,7 @@ class TestRestrictionEL:
         from ncpe.labelings import left_modular_labeling
         n = 5
         pe = build_pe_dref(n)
-        lam = left_modular_labeling(pe, distinguished_chain(n).elements)
+        lam = left_modular_labeling(pe, distinguished_chain(n))
         for x, y in removed_covers(n):
             y_prime = dominating_witness(x, y, lam)
             # the witness merges the block of 1 with the singleton {n}
@@ -200,7 +200,7 @@ class TestRestrictionEL:
         from ncpe.builders import build_pe_dref
         from ncpe.labelings import left_modular_labeling
         pe = build_pe_dref(4)
-        lam = left_modular_labeling(pe, distinguished_chain(4).elements)
+        lam = left_modular_labeling(pe, distinguished_chain(4))
         with pytest.raises(BuildError):
             dominating_witness(parse_partition("1|2|3|4"),
                                parse_partition("14|2|3"), lam)
