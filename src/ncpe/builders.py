@@ -10,8 +10,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .partitions import (PartitionError, SetPartition, meet_partition,
-                         nc_join, nc_meet)
+from .partitions import (PartitionError, SetPartition, code_blocks,
+                         meet_partition, nc_join, nc_meet)
 from .posets import FinitePoset
 
 PI_MAX_N = 9
@@ -69,7 +69,7 @@ def enumerate_noncrossing(n: int) -> list[SetPartition]:
             rec(e + 1, stack[:k + 1], nblocks)
 
     rec(0, [], 0)
-    return sorted(out, key=lambda x: x.blocks)
+    return sorted(out, key=lambda x: code_blocks(x.code))
 
 
 def is_pe_member(x: SetPartition) -> bool:

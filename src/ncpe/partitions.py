@@ -61,10 +61,7 @@ class SetPartition:
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks sorted ascending, ordered by their least elements."""
-        out: list[list[int]] = [[] for _ in range(max(self.code) + 1)]
-        for e, c in enumerate(self.code, start=1):
-            out[c].append(e)
-        return tuple(tuple(b) for b in out)
+        return code_blocks(self.code)
 
     def rank(self) -> int:
         return self.n - max(self.code) - 1
@@ -106,6 +103,14 @@ class SetPartition:
 
     def __repr__(self) -> str:
         return f"SetPartition({self.n}, {self!s})"
+
+
+def code_blocks(code: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The blocks of the partition with this code, as `SetPartition.blocks`."""
+    out: list[list[int]] = [[] for _ in range(max(code) + 1)]
+    for e, c in enumerate(code, start=1):
+        out[c].append(e)
+    return tuple(tuple(b) for b in out)
 
 
 @lru_cache(maxsize=None)

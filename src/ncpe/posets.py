@@ -2,11 +2,14 @@
 
 Elements are opaque hashable keys; the engine never inspects their
 structure.  The order is kept as a dense boolean matrix, cover relations
-as an adjacency list (the transitive reduction).
+as an adjacency list (the transitive reduction).  `from_covers` closes
+the covers on Python-int bitsets, dropping each row once it is unpacked
+and its lower covers have read it.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,67 +47,60 @@ class FinitePoset:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_leq_matrix(cls, keys: Sequence[Hashable], leq: np.ndarray) -> "FinitePoset":
-        cls._check_partial_order(tuple(keys), leq)
-        return cls(keys, leq, _transitive_reduction(leq))
-
-    @classmethod
     def from_covers(cls, keys: Sequence[Hashable],
                     cover_pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
         """Build from cover index pairs (i, j) meaning key[i] is covered
         by key[j]; the order is the reflexive-transitive closure.
 
+        In reverse topological order, row v (an int with bit j set iff
+        v < j) is the OR of the upper covers of v and their rows.  It is
+        unpacked into the bool matrix at once and dropped when the last
+        lower cover of v has read it, so few rows are held as ints.
+
         The covers are always validated: a given pair (i, j) is rejected
-        when another given upper cover w of i has w <= j, which holds
-        exactly when the pair is not in the transitive reduction.
+        when another given upper cover w of i has bit j set in row w,
+        which holds exactly when the pair is not in the transitive
+        reduction; the least i, then w, then j is reported.
         """
         keys = tuple(keys)
         n = len(keys)
-        covers = sorted(set((int(i), int(j)) for i, j in cover_pairs))
+        # a dict keeps the given order, often nearly sorted, so the sort is cheap
+        covers = sorted(dict.fromkeys(map(_int_pair, cover_pairs)))
+        up: list[list[int]] = [[] for _ in range(n)]
+        unread = [0] * n  # per element, the lower covers yet to read its row
         for i, j in covers:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise PosetError(f"bad cover pair ({i}, {j})")
-        up: list[list[int]] = [[] for _ in range(n)]
-        indeg_down = [0] * n
-        for i, j in covers:
             up[i].append(j)
-            indeg_down[j] += 1
-        order = _topological_order(n, up, indeg_down)
-        leq = np.zeros((n, n), dtype=bool)
+            unread[j] += 1
+        order = _topological_order(n, up, unread)
+        leq = np.empty((n, n), dtype=bool)
+        bits, nbytes = leq.view(np.uint8), (n + 7) // 8
+        rows: list[int | None] = [None] * n
+        bad = (n, 0, 0)  # the least (i, w, j) with w < j, covers w, j of i
         for v in reversed(order):
-            leq[v, v] = True
+            row = mask = 0  # mask: the upper covers of v
             for w in up[v]:
-                leq[v] |= leq[w]
-        for i in range(n):
-            if len(up[i]) > 1:
-                between = leq[up[i]][:, up[i]]
-                np.fill_diagonal(between, False)
-                if between.any():
-                    a, b = np.argwhere(between)[0]
-                    w, j = up[i][a], up[i][b]
-                    raise PosetError(
-                        f"({keys[i]!r}, {keys[j]!r}) is not a cover: "
-                        f"{keys[w]!r} lies strictly between")
+                row |= rows[w]
+                mask |= 1 << w
+            if row & mask and v < bad[0]:
+                hit, w = next((rows[w] & mask, w) for w in up[v] if rows[w] & mask)
+                bad = (v, w, (hit & -hit).bit_length() - 1)
+            row |= mask
+            packed = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
+            bits[v] = np.unpackbits(packed, count=n, bitorder="little")
+            bits[v, v] = 1
+            if unread[v]:
+                rows[v] = row
+            for w in up[v]:
+                unread[w] -= 1
+                if not unread[w]:
+                    rows[w] = None
+        if bad[0] < n:
+            i, w, j = bad
+            raise PosetError(f"({keys[i]!r}, {keys[j]!r}) is not a cover: "
+                             f"{keys[w]!r} lies strictly between")
         return cls(keys, leq, covers)
-
-    @staticmethod
-    def _check_partial_order(keys: tuple, leq: np.ndarray) -> None:
-        n = len(keys)
-        if not np.all(np.diag(leq)):
-            i = int(np.flatnonzero(~np.diag(leq))[0])
-            raise PosetError(f"not reflexive at {keys[i]!r}")
-        sym = leq & leq.T & ~np.eye(n, dtype=bool)
-        if sym.any():
-            i, j = map(int, np.argwhere(sym)[0])
-            raise PosetError(f"antisymmetry fails on ({keys[i]!r}, {keys[j]!r})")
-        closed = leq @ leq  # boolean product: no count that can wrap
-        bad = closed & ~leq
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
-            raise PosetError(
-                f"transitivity fails: {keys[i]!r} <= {keys[k]!r} <= {keys[j]!r} "
-                f"but not {keys[i]!r} <= {keys[j]!r}")
 
     # -- basic structure -------------------------------------------------
 
@@ -158,9 +154,8 @@ class FinitePoset:
 
     @cached_property
     def _topo(self) -> list[int]:
-        up = self.upper_covers
-        indeg = [len(self.lower_covers[v]) for v in range(len(self.keys))]
-        return _topological_order(len(self.keys), up, indeg)
+        return _topological_order(len(self.keys), self.upper_covers,
+                                  list(map(len, self.lower_covers)))
 
     # -- chains ----------------------------------------------------------
 
@@ -383,29 +378,28 @@ def _unique_extremum(mask: np.ndarray, height: np.ndarray,
     return z
 
 
-def _transitive_reduction(leq: np.ndarray) -> list[tuple[int, int]]:
-    n = leq.shape[0]
-    strict = leq & ~np.eye(n, dtype=bool)
-    composed = strict @ strict
-    red = strict & ~composed
-    return sorted((int(i), int(j)) for i, j in np.argwhere(red))
-
-
 def _topological_order(n: int, up: list[list[int]], indeg: list[int]) -> list[int]:
+    """Kahn's algorithm, always taking the least available element."""
     indeg = list(indeg)
-    frontier = sorted(v for v in range(n) if indeg[v] == 0)
+    frontier = [v for v in range(n) if indeg[v] == 0]  # sorted, so a heap
     order: list[int] = []
     while frontier:
-        v = frontier.pop(0)
+        v = heapq.heappop(frontier)
         order.append(v)
         for w in up[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                frontier.append(w)
-        frontier.sort()
+                heapq.heappush(frontier, w)
     if len(order) != n:
         raise PosetError("cover relation contains a cycle")
     return order
+
+
+def _int_pair(pair: tuple[int, int]) -> tuple[int, int]:
+    """The pair as given if it is two Python ints, else converted (numpy
+    integers do not serialise)."""
+    i, j = pair
+    return pair if type(pair) is tuple and type(i) is type(j) is int else (int(i), int(j))
 
 
 def certify_supersolvable(p: FinitePoset, chain: Sequence[int]) -> bool:

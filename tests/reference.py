@@ -1,14 +1,106 @@
-"""Definitions that only the tests use: the full Moebius table of a poset,
-the unique rising maximal chain of an edge labeling, the parking label by
-its block-set rule, and the chain family of the noncrossing lattice that
-defines the chain-defined order on PE."""
+"""Definitions that only the tests use: a poset from its relation matrix,
+the row-OR closure and sort-based topological order that `from_covers`
+once used, the full Moebius table of a poset, the unique rising maximal
+chain of an edge labeling, the parking label by its block-set rule, and
+the chain family of the noncrossing lattice that defines the
+chain-defined order on PE."""
 
-from typing import Iterator
+from typing import Hashable, Iterator, Sequence
+
+import numpy as np
 
 from ncpe.builders import build_nc, pe_members
 from ncpe.labelings import EdgeLabeling, LabelingError, is_rising, parking_label
 from ncpe.partitions import SetPartition
-from ncpe.posets import FinitePoset
+from ncpe.posets import FinitePoset, PosetError
+
+
+def from_leq_matrix(keys: Sequence[Hashable], leq: np.ndarray) -> FinitePoset:
+    """The poset with the given relation matrix, checked to be a partial
+    order; its covers are the transitive reduction."""
+    keys = tuple(keys)
+    check_partial_order(keys, leq)
+    return FinitePoset(keys, leq, transitive_reduction(leq))
+
+
+def check_partial_order(keys: tuple, leq: np.ndarray) -> None:
+    n = len(keys)
+    if not np.all(np.diag(leq)):
+        i = int(np.flatnonzero(~np.diag(leq))[0])
+        raise PosetError(f"not reflexive at {keys[i]!r}")
+    sym = leq & leq.T & ~np.eye(n, dtype=bool)
+    if sym.any():
+        i, j = map(int, np.argwhere(sym)[0])
+        raise PosetError(f"antisymmetry fails on ({keys[i]!r}, {keys[j]!r})")
+    closed = leq @ leq  # boolean product: no count that can wrap
+    bad = closed & ~leq
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
+        raise PosetError(
+            f"transitivity fails: {keys[i]!r} <= {keys[k]!r} <= {keys[j]!r} "
+            f"but not {keys[i]!r} <= {keys[j]!r}")
+
+
+def transitive_reduction(leq: np.ndarray) -> list[tuple[int, int]]:
+    n = leq.shape[0]
+    strict = leq & ~np.eye(n, dtype=bool)
+    red = strict & ~(strict @ strict)
+    return sorted((int(i), int(j)) for i, j in np.argwhere(red))
+
+
+def sorted_topological_order(n: int, up: list[list[int]],
+                             indeg: list[int]) -> list[int]:
+    """Kahn's algorithm with the frontier re-sorted after every step."""
+    indeg = list(indeg)
+    frontier = sorted(v for v in range(n) if indeg[v] == 0)
+    order: list[int] = []
+    while frontier:
+        v = frontier.pop(0)
+        order.append(v)
+        for w in up[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                frontier.append(w)
+        frontier.sort()
+    if len(order) != n:
+        raise PosetError("cover relation contains a cycle")
+    return order
+
+
+def row_or_from_covers(keys: Sequence[Hashable],
+                       cover_pairs) -> FinitePoset:
+    """`FinitePoset.from_covers` by bool rows: row v of the closure ORs in
+    the row of each upper cover of v, and the covers of each element are
+    checked by one gather of their rows and columns."""
+    keys = tuple(keys)
+    n = len(keys)
+    covers = sorted(set((int(i), int(j)) for i, j in cover_pairs))
+    for i, j in covers:
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise PosetError(f"bad cover pair ({i}, {j})")
+    up: list[list[int]] = [[] for _ in range(n)]
+    indeg_down = [0] * n
+    for i, j in covers:
+        up[i].append(j)
+        indeg_down[j] += 1
+    order = sorted_topological_order(n, up, indeg_down)
+    leq = np.zeros((n, n), dtype=bool)
+    for v in reversed(order):
+        leq[v, v] = True
+        for w in up[v]:
+            leq[v] |= leq[w]
+    for i in range(n):
+        if len(up[i]) > 1:
+            between = leq[up[i]][:, up[i]]
+            np.fill_diagonal(between, False)
+            if between.any():
+                a, b = np.argwhere(between)[0]
+                w, j = up[i][a], up[i][b]
+                raise PosetError(
+                    f"({keys[i]!r}, {keys[j]!r}) is not a cover: "
+                    f"{keys[w]!r} lies strictly between")
+    return FinitePoset(keys, leq, covers)
 
 
 def moebius_table(p: FinitePoset) -> dict[tuple[int, int], int]:

@@ -2,15 +2,20 @@
 lattice and modularity checks."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpe.builders import build_nc, build_pe_dref, build_pi
 from ncpe.parking import build_pe_pchn
 from ncpe.posets import (FinitePoset, LatticeCheck, PosetError,
-                         _unique_extremum, certify_supersolvable)
-from reference import moebius_table
+                         _topological_order, _unique_extremum,
+                         certify_supersolvable)
+from reference import (from_leq_matrix, moebius_table, row_or_from_covers,
+                       sorted_topological_order, transitive_reduction)
 
 # pentagon: bottom < a < c < top, bottom < b < top
 N5 = FinitePoset.from_covers(
@@ -74,14 +79,14 @@ def from_order_oracle(keys, leq_fn) -> FinitePoset:
     for i, a in enumerate(keys):
         for j, b in enumerate(keys):
             leq[i, j] = leq_fn(a, b)
-    return FinitePoset.from_leq_matrix(keys, leq)
+    return from_leq_matrix(keys, leq)
 
 
 def direct_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     """Componentwise order on pairs of elements."""
     keys = [(a, b) for a in p.keys for b in q.keys]
     leq = np.kron(p.leq, q.leq).astype(bool)
-    return FinitePoset.from_leq_matrix(keys, leq)
+    return from_leq_matrix(keys, leq)
 
 
 def divisors_poset(m: int) -> FinitePoset:
@@ -148,8 +153,8 @@ class TestConstruction:
             FinitePoset.from_covers([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
 
     @pytest.mark.parametrize("build, covers", [
-        (lambda: FinitePoset.from_leq_matrix(range(258), chain_leq(258)), 257),
-        (lambda: FinitePoset.from_leq_matrix(range(258), witnesses_leq(256)), None),
+        (lambda: from_leq_matrix(range(258), chain_leq(258)), 257),
+        (lambda: from_leq_matrix(range(258), witnesses_leq(256)), None),
         (lambda: chain_with_shortcut(258), None),
         (lambda: chain_with_shortcut(2001), None),
     ], ids=["chain-258", "witnesses-256", "shortcut-258", "shortcut-2001"])
@@ -165,7 +170,7 @@ class TestConstruction:
 
     def test_transitive_reduction_recomputation(self):
         for p in (N5, M3, divisors_poset(60)):
-            again = FinitePoset.from_leq_matrix(p.keys, p.leq)
+            again = from_leq_matrix(p.keys, p.leq)
             assert sorted(again.covers) == sorted(p.covers)
 
     def test_json_roundtrip(self):
@@ -177,6 +182,118 @@ class TestConstruction:
     def test_to_dot_mentions_all_covers(self):
         dot = N5.to_dot()
         assert dot.count("->") == len(N5.covers)
+
+
+class TestBitsetClosure:
+    """`from_covers` against the row-OR closure and scan it replaced."""
+
+    POSETS = ([(f"nc{n}", lambda n=n: build_nc(n)) for n in range(1, 9)]
+              + [(f"pe{n}", lambda n=n: build_pe_dref(n)) for n in range(3, 9)]
+              + [("pi5", lambda: build_pi(5))]
+              + [(f"pe-pchn{n}", lambda n=n: build_pe_pchn(n)) for n in range(3, 9)]
+              + [(f"divisors{m}", lambda m=m: divisors_poset(m))
+                 for m in (1, 12, 36, 60, 360)])
+
+    @pytest.mark.parametrize("build", [b for _, b in POSETS],
+                             ids=[name for name, _ in POSETS])
+    def test_matches_row_or_closure(self, build):
+        p = build()
+        fast = FinitePoset.from_covers(p.keys, p.covers)
+        slow = row_or_from_covers(p.keys, p.covers)
+        assert fast.leq.flags.c_contiguous and fast.leq.dtype == bool
+        assert np.array_equal(fast.leq, slow.leq)
+        assert fast.covers == slow.covers
+
+    @pytest.mark.parametrize("build", [lambda: build_nc(6), lambda: build_pe_dref(7),
+                                       lambda: build_pi(5), lambda: build_pe_pchn(6),
+                                       lambda: N5],
+                             ids=["nc6", "pe7", "pi5", "pe-pchn6", "N5"])
+    def test_heap_topological_order(self, build):
+        p = build()
+        n = len(p.keys)
+        indeg = [len(lc) for lc in p.lower_covers]
+        assert _topological_order(n, p.upper_covers, indeg) == \
+            sorted_topological_order(n, p.upper_covers, indeg)
+
+    @staticmethod
+    def outcome(build):
+        try:
+            p = build()
+        except PosetError as exc:
+            return str(exc)
+        return p.leq, p.covers
+
+    def assert_same_outcome(self, keys, edges):
+        fast = self.outcome(lambda: FinitePoset.from_covers(keys, edges))
+        slow = self.outcome(lambda: row_or_from_covers(keys, edges))
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            assert np.array_equal(fast[0], slow[0]) and fast[1] == slow[1]
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_dags(self, size, data):
+        """Random DAGs on keys in shuffled positions: as drawn (often with
+        redundant edges) and reduced to their covers; the sizes straddle
+        the byte and word boundaries of the bit rows."""
+        position = data.draw(st.permutations(range(size)))
+        ends = st.integers(0, size - 1)
+        pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=3 * size))
+        edges = [(position[min(a, b)], position[max(a, b)]) for a, b in pairs if a != b]
+        keys = [f"k{v}" for v in range(size)]
+        self.assert_same_outcome(keys, edges)
+        closed = np.eye(size, dtype=bool)
+        for i, j in edges:
+            closed[i, j] = True
+        for _ in range(size.bit_length()):
+            closed = closed @ closed
+        covers = transitive_reduction(closed)
+        self.assert_same_outcome(keys, covers)
+        assert np.array_equal(FinitePoset.from_covers(keys, covers).leq, closed)
+
+    def test_several_redundant_edges(self):
+        """A chain a < ... < h with shortcuts from several elements: the
+        message names the least element with a redundant cover, then its
+        least cover w below another of its covers, then the least cover
+        above w."""
+        keys = list("abcdefgh")
+        edges = [(i, i + 1) for i in range(7)] + [(5, 7), (2, 6), (2, 4), (1, 7),
+                                                  (1, 3)]
+        with pytest.raises(PosetError) as fast:
+            FinitePoset.from_covers(keys, edges)
+        with pytest.raises(PosetError) as slow:
+            row_or_from_covers(keys, edges)
+        assert str(fast.value) == str(slow.value) == \
+            "('b', 'd') is not a cover: 'c' lies strictly between"
+
+    def test_numpy_pairs_become_python_ints(self):
+        p = divisors_poset(60)
+        given_pairs = [(np.int64(i), np.int64(j)) for i, j in p.covers]
+        for pairs in (given_pairs, np.array(p.covers, dtype=np.int64)):
+            q = FinitePoset.from_covers(p.keys, pairs)
+            assert q.covers == p.covers
+            assert all(type(i) is int and type(j) is int for i, j in q.covers)
+            assert q.to_json() == p.to_json()
+
+    def test_python_pairs_kept(self):
+        covers = list(reversed(M3.covers))
+        q = FinitePoset.from_covers(M3.keys, covers)
+        assert all(any(c is d for d in covers) for c in q.covers)
+
+    def test_peak_memory(self):
+        """The closure of PE_9 holds few bit rows beside the N x N bool
+        matrix: traced peak at most 1.2 N^2 bytes."""
+        p = build_pe_dref(9)
+        tracemalloc.start()
+        try:
+            FinitePoset.from_covers(p.keys, p.covers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(p.keys) == 4004
+        assert peak <= 1.2 * len(p.keys) ** 2
 
 
 class TestChainsAndGrading:
