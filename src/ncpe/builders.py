@@ -1,7 +1,7 @@
 """Builders for the partition posets: all partitions, noncrossing
 partitions, and the noncrossing subfamily that omits the block
 {n-1, n} and the "singleton n with 1 ~ n-1" configurations (called PE
-here), together with its native meet and join.
+here), together with its native join.
 """
 
 from __future__ import annotations
@@ -10,8 +10,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .partitions import (PartitionError, SetPartition, code_blocks,
-                         meet_partition, nc_join, nc_meet)
+from .partitions import PartitionError, SetPartition, code_blocks, nc_join
 from .posets import FinitePoset
 
 PI_MAX_N = 9
@@ -137,23 +136,7 @@ def build_pe_dref(n: int) -> FinitePoset:
     return FinitePoset.from_covers(members, _merge_covers(members))
 
 
-# -- PE meet and join ------------------------------------------------------
-
-def pe_meet(x: SetPartition, y: SetPartition) -> SetPartition:
-    """Meet in the PE lattice: the noncrossing meet, repaired by
-    splitting a {n-1, n} block into singletons when necessary."""
-    _require_pe(x)
-    _require_pe(y)
-    n = x.n
-    w = nc_meet(x, y)
-    if is_pe_member(w):
-        return w
-    if (n - 1, n) in w.blocks:
-        return meet_partition(w, SetPartition.of(n, [range(1, n), [n]]))
-    # the remaining failure mode ({n} singleton with 1 ~ n-1) cannot
-    # occur for inputs in PE; treat it as a structural contradiction
-    raise AssertionError(f"impossible meet case for {x} ^ {y}: got {w}")
-
+# -- PE join ----------------------------------------------------------------
 
 def pe_join(x: SetPartition, y: SetPartition) -> SetPartition:
     """Join in the PE lattice: the noncrossing join, repaired by merging

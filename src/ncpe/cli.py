@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from fractions import Fraction
 from math import comb
 
 import click
@@ -25,8 +24,8 @@ from .labelings import (EdgeLabeling, count_decreasing_chains,
 from .nbb import (Atom, base_to_tree, check_nbb_size, classification_census,
                   enumerate_nbb_bases_top, moebius_via_nbb)
 from .parking import build_pe_pchn, count_D
-from .partitions import PartitionError, SetPartition, parse_partition
-from .posets import FinitePoset, PosetError
+from .partitions import PartitionError, parse_partition
+from .posets import FinitePoset
 
 TARGETS = ("pi", "nc", "pe-dref", "pe-pchn")
 
@@ -217,9 +216,9 @@ def _closed_form(target: str, n: int) -> int | None:
     if target == "nc":
         return (-1) ** (n - 1) * catalan(n - 1)
     if target == "pe-dref":
-        value = Fraction(4, n) * comb(2 * n - 5, n - 4) if n >= 4 else 0
-        assert value == int(value)
-        return (-1) ** (n - 1) * int(value)
+        if n < 4:
+            return 0
+        return (-1) ** (n - 1) * (4 * comb(2 * n - 5, n - 4) // n)
     if target == "pe-pchn":
         return 0
     return None

@@ -72,26 +72,17 @@ def ranked_atoms(n: int, ambient: Ambient) -> dict[Atom, int]:
             for a in sorted(atoms, key=lambda a: (atom_rank(a, n), a))}
 
 
-def _ambient_join(atoms: Iterable[Atom], n: int, ambient: Ambient) -> SetPartition:
-    join_op = nc_join if ambient == "nc" else pe_join
-    result = SetPartition.bottom(n)
-    for a in atoms:
-        result = join_op(result, a.partition(n))
-    return result
-
-
 def is_bb(atoms: frozenset[Atom] | set[Atom], n: int, ambient: Ambient,
-          join: SetPartition | None = None) -> bool:
+          join: SetPartition) -> bool:
     """Bounded-below test: every member must have a strictly smaller atom
-    (in the rank order) lying below the join of the whole set."""
+    (in the rank order) lying below `join`, the join of the whole set in
+    the ambient."""
     if not atoms:
         raise BuildError("BB is defined for nonempty atom sets")
     pool = ranked_atoms(n, ambient)
     for a in atoms:
         if a not in pool:
             raise BuildError(f"atom {a} invalid for ambient {ambient!r}, n={n}")
-    if join is None:
-        join = _ambient_join(atoms, n, ambient)
     for d in atoms:
         rd = pool[d]
         # the join is never such an atom a: every member would then be a,
@@ -200,21 +191,6 @@ class NCTree:
                     frontier.append(w)
         return len(seen) == self.n
 
-    def split_at_root_edge(self) -> tuple[set[int], set[int]]:
-        """Vertex sets of the two components after removing edge {1, n}."""
-        if (1, self.n) not in self.edges:
-            raise BuildError("tree has no edge between 1 and n")
-        pruned = NCTree(self.n, self.edges - {(1, self.n)})
-        comp1 = {1}
-        frontier = [1]
-        while frontier:
-            v = frontier.pop()
-            for w in pruned.neighbors(v):
-                if w not in comp1:
-                    comp1.add(w)
-                    frontier.append(w)
-        return comp1, set(range(1, self.n + 1)) - comp1
-
     def to_dot(self) -> str:
         lines = ["graph nctree {", "  node [shape=circle];"]
         for i, j in sorted(self.edges):
@@ -244,9 +220,9 @@ def classify_base(base: tuple[Atom, ...], n: int) -> Classification:
 
     In the tree of the base, membership in R is equivalent to n having
     1 as its only neighbor; that form is used here because it stays
-    meaningful when the base contains an atom outside PE.  When every
-    remaining atom does lie in PE the iterated PE join is computed too,
-    and the two criteria are asserted to agree.
+    meaningful when the base contains an atom outside PE.  The tests
+    check it against the iterated PE join wherever every remaining atom
+    lies in PE.
     """
     atoms = set(base)
     root = Atom(1, n)
@@ -258,12 +234,6 @@ def classify_base(base: tuple[Atom, ...], n: int) -> Classification:
         raise AssertionError(f"base {base} contains both excluded atoms")
     tree = base_to_tree(base, n)
     r = tree.neighbors(n) == [1]
-    rest = atoms - {root}
-    if all(a in ranked_atoms(n, "pe") for a in rest):
-        joins_top = _ambient_join(rest, n, "pe") == SetPartition.top(n)
-        if joins_top != r:
-            raise AssertionError(
-                f"PE-join and tree criteria disagree on {base}")
     if s1 and not r:
         raise AssertionError(f"base {base} in S1 but not in R")
     if s2 and r:

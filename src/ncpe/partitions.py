@@ -148,14 +148,6 @@ def parse_partition(text: str, n: int | None = None) -> SetPartition:
     return SetPartition.of(n, blocks)
 
 
-def meet_partition(x: SetPartition, y: SetPartition) -> SetPartition:
-    """Greatest lower bound in the full partition lattice: pairwise
-    block intersections, one per distinct pair of block indices."""
-    if x.n != y.n:
-        raise PartitionError(f"mismatched ground sets: {x.n} != {y.n}")
-    return _from_labels(x.n, zip(x.code, y.code))
-
-
 def join_partition(x: SetPartition, y: SetPartition) -> SetPartition:
     """Least upper bound in the full partition lattice: union-find over
     the blocks of x, joining the blocks of x that meet one block of y."""
@@ -215,12 +207,3 @@ def nc_join(x: SetPartition, y: SetPartition) -> SetPartition:
     if not y.is_noncrossing:
         raise PartitionError(f"crossing input: {y}")
     return nc_closure(join_partition(x, y))
-
-
-def nc_meet(x: SetPartition, y: SetPartition) -> SetPartition:
-    """Meet of noncrossing partitions; coincides with the plain meet."""
-    if not x.is_noncrossing:
-        raise PartitionError(f"crossing input: {x}")
-    if not y.is_noncrossing:
-        raise PartitionError(f"crossing input: {y}")
-    return meet_partition(x, y)

@@ -288,10 +288,6 @@ class FinitePoset:
         rhs = join[:, meet[x, :]]
         return ((lhs == rhs) | ~self.leq).all(axis=0)
 
-    def is_modular_pair(self, x: int, z: int) -> bool:
-        """xMz: (y v x) ^ z == y v (x ^ z) for every y <= z."""
-        return bool(self._modular_columns(x)[z])
-
     def is_left_modular(self, x: int) -> bool:
         return bool(self._modular_columns(x).all())
 
@@ -400,14 +396,3 @@ def _int_pair(pair: tuple[int, int]) -> tuple[int, int]:
     integers do not serialise)."""
     i, j = pair
     return pair if type(pair) is tuple and type(i) is type(j) is int else (int(i), int(j))
-
-
-def certify_supersolvable(p: FinitePoset, chain: Sequence[int]) -> bool:
-    """Graded lattice with a left-modular maximal chain; the only route
-    by which this library asserts supersolvability."""
-    if not p.lattice_check().is_lattice:
-        return False
-    graded, _ = p.is_graded()
-    if not graded:
-        return False
-    return p.is_left_modular_chain(chain)

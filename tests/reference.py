@@ -3,15 +3,29 @@ the row-OR closure and sort-based topological order that `from_covers`
 once used, the full Moebius table of a poset, the unique rising maximal
 chain of an edge labeling, the parking label by its block-set rule, and
 the chain family of the noncrossing lattice that defines the
-chain-defined order on PE."""
+chain-defined order on PE.
 
-from typing import Hashable, Iterator, Sequence
+They also hold the checks of the paper's lemmas that no command runs:
+parking functions and chain words, the removed covers and their
+dominating witnesses, restriction EL on the chain-defined order, the
+PE meet, modular pairs and supersolvability, the split of a base tree
+at its root edge, the iterated join of an atom set, and the meet form
+of the left-modular labeling."""
+
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ncpe.builders import build_nc, pe_members
-from ncpe.labelings import EdgeLabeling, LabelingError, is_rising, parking_label
-from ncpe.partitions import SetPartition
+from ncpe.builders import (BuildError, _require_pe, build_nc, build_pe_dref,
+                           distinguished_chain, is_pe_member, pe_join,
+                           pe_members)
+from ncpe.labelings import (EdgeLabeling, ELVerdict, LabelingError,
+                            count_decreasing_chains, is_rising,
+                            left_modular_labeling, parking_label, verify_el)
+from ncpe.nbb import Atom, NCTree
+from ncpe.parking import build_pe_pchn
+from ncpe.partitions import PartitionError, SetPartition, _from_labels, nc_join
 from ncpe.posets import FinitePoset, PosetError
 
 
@@ -166,3 +180,192 @@ def chain_family_order(n: int) -> FinitePoset:
     index = {v: k for k, v in enumerate(elements)}
     return FinitePoset.from_covers(
         members, [(index[i], index[j]) for i, j in on_chain])
+
+
+# -- parking functions and the chain-defined order --------------------------
+
+def is_parking_function(word: Sequence[int]) -> bool:
+    """At least k entries are <= k, for every k up to the length."""
+    if any(f < 1 for f in word):
+        raise ValueError(f"entries must be positive: {word}")
+    ordered = sorted(word)
+    return all(f <= k for k, f in enumerate(ordered, start=1))
+
+
+def chain_parking_word(chain: Sequence[SetPartition]) -> tuple[int, ...]:
+    """Label word of a maximal chain of the noncrossing lattice."""
+    if not chain:
+        raise PosetError("empty chain")
+    n = chain[0].n
+    if chain[0] != SetPartition.bottom(n) or chain[-1] != SetPartition.top(n):
+        raise PosetError("chain must run from the discrete to the full partition")
+    for x in chain:
+        if not x.is_noncrossing:
+            raise PosetError(f"chain element is crossing: {x}")
+    # parking_label rejects any step that is not a two-block merge, so a
+    # chain that survives labeling is maximal
+    return tuple(parking_label(x, y) for x, y in zip(chain, chain[1:]))
+
+
+def build_D(n: int) -> list[tuple[SetPartition, ...]]:
+    """The maximal chains of the noncrossing lattice whose parking word
+    avoids the value n-1: the maximal chains of the chain-defined order,
+    lexicographically by element index."""
+    p = build_pe_pchn(n)
+    return [tuple(p.keys[v] for v in chain) for chain in p.iter_maximal_chains()]
+
+
+def removed_covers(n: int) -> list[tuple[SetPartition, SetPartition]]:
+    """The dref covers of PE absent from the chain-defined order: those
+    carrying parking label n-1."""
+    pe = build_pe_dref(n)
+    return [(pe.keys[i], pe.keys[j]) for i, j in pe.covers
+            if parking_label(pe.keys[i], pe.keys[j]) == n - 1]
+
+
+@dataclass
+class RestrictionVerdict:
+    n: int
+    removed: list[tuple[SetPartition, SetPartition]]
+    witnesses: list[tuple[SetPartition, SetPartition, SetPartition]]
+    el: ELVerdict
+    decreasing_chains: int
+    mobius: int
+
+    @property
+    def ok(self) -> bool:
+        return self.el.el and self.decreasing_chains == 0 and self.mobius == 0
+
+
+def dominating_witness(x: SetPartition, y: SetPartition,
+                       labeling: EdgeLabeling) -> SetPartition:
+    """For a dref cover (x, y) of PE with parking label n-1: the element
+    y' obtained by merging the block of 1 with the singleton {n}.  It is
+    checked to be a retained cover of x with strictly smaller
+    left-modular label, namely 1 (while (x, y) carries label min B for
+    the block B of x merged into n)."""
+    n = x.n
+    if parking_label(x, y) != n - 1:
+        raise BuildError(f"cover ({x}, {y}) is not labeled {n - 1}")
+    y_prime = x.merge(1, n)
+    poset = labeling.poset
+    xi, yi, yp = poset.index(x), poset.index(y), poset.index(y_prime)
+    if (xi, yp) not in labeling.labels:
+        raise AssertionError(f"witness {y_prime} is not a cover of {x}")
+    if parking_label(x, y_prime) >= n - 1:
+        raise AssertionError(f"witness cover ({x}, {y_prime}) is not retained")
+    lam_removed = labeling.labels[(xi, yi)]
+    lam_witness = labeling.labels[(xi, yp)]
+    block_b = next(b for b in x.blocks if n - 1 in b)
+    if lam_witness != 1 or lam_removed != min(block_b):
+        raise AssertionError(
+            f"unexpected labels on ({x}, {y}): removed={lam_removed}, "
+            f"witness={lam_witness}, min B={min(block_b)}")
+    return y_prime
+
+
+def verify_restriction_el(n: int) -> RestrictionVerdict:
+    """Check that dropping the covers labeled n-1 preserves the
+    EL-property of the left-modular labeling: every removed cover is
+    dominated by a retained one out of the same element, the restricted
+    labeling is EL on the chain-defined poset, and that poset has no
+    weakly decreasing maximal chain and Moebius value 0."""
+    pchn = build_pe_pchn(n)
+    pe = build_pe_dref(n)
+    lam = left_modular_labeling(pe, distinguished_chain(n))
+    removed = removed_covers(n)
+    witnesses = [(x, y, dominating_witness(x, y, lam)) for x, y in removed]
+    restricted = lam.restrict(pchn)
+    return RestrictionVerdict(
+        n=n, removed=removed, witnesses=witnesses,
+        el=verify_el(pchn, restricted),
+        decreasing_chains=count_decreasing_chains(pchn, restricted),
+        mobius=pchn.moebius_bottom_top())
+
+
+# -- lattice operations and lemmas ------------------------------------------
+
+def meet_partition(x: SetPartition, y: SetPartition) -> SetPartition:
+    """Greatest lower bound in the full partition lattice: pairwise
+    block intersections, one per distinct pair of block indices."""
+    if x.n != y.n:
+        raise PartitionError(f"mismatched ground sets: {x.n} != {y.n}")
+    return _from_labels(x.n, zip(x.code, y.code))
+
+
+def nc_meet(x: SetPartition, y: SetPartition) -> SetPartition:
+    """Meet of noncrossing partitions; coincides with the plain meet."""
+    if not x.is_noncrossing:
+        raise PartitionError(f"crossing input: {x}")
+    if not y.is_noncrossing:
+        raise PartitionError(f"crossing input: {y}")
+    return meet_partition(x, y)
+
+
+def pe_meet(x: SetPartition, y: SetPartition) -> SetPartition:
+    """Meet in the PE lattice: the noncrossing meet, repaired by
+    splitting a {n-1, n} block into singletons when necessary."""
+    _require_pe(x)
+    _require_pe(y)
+    n = x.n
+    w = nc_meet(x, y)
+    if is_pe_member(w):
+        return w
+    if (n - 1, n) in w.blocks:
+        return meet_partition(w, SetPartition.of(n, [range(1, n), [n]]))
+    # the remaining failure mode ({n} singleton with 1 ~ n-1) cannot
+    # occur for inputs in PE; treat it as a structural contradiction
+    raise AssertionError(f"impossible meet case for {x} ^ {y}: got {w}")
+
+
+def is_modular_pair(p: FinitePoset, x: int, z: int) -> bool:
+    """xMz: (y v x) ^ z == y v (x ^ z) for every y <= z."""
+    return bool(p._modular_columns(x)[z])
+
+
+def certify_supersolvable(p: FinitePoset, chain: Sequence[int]) -> bool:
+    """Graded lattice with a left-modular maximal chain."""
+    if not p.lattice_check().is_lattice:
+        return False
+    graded, _ = p.is_graded()
+    if not graded:
+        return False
+    return p.is_left_modular_chain(chain)
+
+
+def meet_form_labels(p: FinitePoset,
+                     chain_keys: Sequence) -> dict[tuple[int, int], int]:
+    """The left-modular labeling by its meet form: a cover (y, z) gets
+    the least t with c_t ^ z not below y."""
+    tables = p.lattice_check()
+    chain = [p.index(k) for k in chain_keys]
+    return {(y, z): next(t for t in range(len(chain))
+                         if not p.leq[tables.meet[chain[t], z], y])
+            for y, z in p.covers}
+
+
+# -- atoms and base trees ---------------------------------------------------
+
+def ambient_join(atoms: Iterable[Atom], n: int, ambient: str) -> SetPartition:
+    """The join of an atom set in the nc or pe ambient, one atom at a time."""
+    join_op = nc_join if ambient == "nc" else pe_join
+    result = SetPartition.bottom(n)
+    for a in atoms:
+        result = join_op(result, a.partition(n))
+    return result
+
+
+def split_at_root_edge(tree: NCTree) -> tuple[set[int], set[int]]:
+    """Vertex sets of the two components after removing edge {1, n}."""
+    if (1, tree.n) not in tree.edges:
+        raise BuildError("tree has no edge between 1 and n")
+    pruned = NCTree(tree.n, tree.edges - {(1, tree.n)})
+    comp1 = {1}
+    frontier = [1]
+    while frontier:
+        v = frontier.pop()
+        for w in pruned.neighbors(v):
+            if w not in comp1:
+                comp1.add(w)
+                frontier.append(w)
+    return comp1, set(range(1, tree.n + 1)) - comp1

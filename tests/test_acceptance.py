@@ -10,15 +10,15 @@ import numpy as np
 
 from ncpe.builders import (build_nc, build_pe_dref, catalan,
                            distinguished_chain, enumerate_noncrossing,
-                           pe_join, pe_meet, pe_members)
+                           pe_join, pe_members)
 from ncpe.labelings import (count_decreasing_chains, left_modular_labeling,
                             verify_el, verify_sn_el)
 from ncpe.nbb import (Atom, base_to_tree, classification_census,
                       enumerate_nbb_bases_top, moebius_via_nbb)
-from ncpe.parking import (build_pe_pchn, chain_parking_word, count_D,
-                          is_parking_function, verify_restriction_el)
-from reference import (from_leq_matrix, iter_all_chains, moebius_table,
-                       unique_rising_chain)
+from ncpe.parking import build_pe_pchn, count_D
+from reference import (chain_parking_word, from_leq_matrix,
+                       is_parking_function, iter_all_chains, moebius_table,
+                       pe_meet, unique_rising_chain, verify_restriction_el)
 
 
 def _verdict(num: int, name: str, ok: bool, elapsed: float) -> None:

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from fractions import Fraction
+from math import comb
 
 import pytest
 from click.testing import CliRunner
 
-from ncpe.cli import main
-from ncpe.parking import build_D, chain_parking_word
+from ncpe.cli import _closed_form, main
+from reference import build_D, chain_parking_word
 
 
 @pytest.fixture
@@ -104,6 +106,15 @@ class TestMobius:
     def test_nc_small(self, runner):
         code, report = run_json(runner, "mobius", "-n", "2", "--target", "nc")
         assert code == 0 and report["closed_form"] == -1
+
+    def test_pe_closed_form_is_exact(self):
+        """4 * C(2n-5, n-4) is divisible by n, and the integer form equals
+        (-1)^(n-1) * (4/n) * C(2n-5, n-4) as an exact fraction."""
+        for n in range(4, 61):
+            assert 4 * comb(2 * n - 5, n - 4) % n == 0
+            want = (-1) ** (n - 1) * Fraction(4, n) * comb(2 * n - 5, n - 4)
+            got = _closed_form("pe-dref", n)
+            assert type(got) is int and got == want, n
 
     def test_nbb_on_pchn_rejected(self, runner):
         result = runner.invoke(

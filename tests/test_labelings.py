@@ -13,7 +13,8 @@ from ncpe.labelings import (LabelingError, count_decreasing_chains, is_rising,
                             verify_el, verify_sn_el)
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import SetPartition, parse_partition
-from reference import block_set_parking_label, unique_rising_chain
+from reference import (block_set_parking_label, meet_form_labels,
+                       unique_rising_chain)
 
 
 def label_or_error(label, x, y):
@@ -80,6 +81,16 @@ class TestLeftModularLabeling:
         p, lam = leftmod(n)
         rising = unique_rising_chain(p, lam)
         assert tuple(p.keys[v] for v in rising) == distinguished_chain(n)
+
+    @pytest.mark.parametrize("build,n", [(build_nc, n) for n in range(3, 8)]
+                             + [(build_pe_dref, n) for n in range(3, 9)],
+                             ids=[f"nc{n}" for n in range(3, 8)]
+                             + [f"pe{n}" for n in range(3, 9)])
+    def test_equals_meet_form(self, build, n):
+        """The join form (least t with z <= y v c_t) equals the meet form
+        (least t with c_t ^ z not below y) on every cover."""
+        p, lam = leftmod(n, build)
+        assert lam.labels == meet_form_labels(p, distinguished_chain(n))
 
 
 class TestParkingLabeling:

