@@ -144,8 +144,8 @@ def pe_join(x: SetPartition, y: SetPartition) -> SetPartition:
     _require_pe(x)
     _require_pe(y)
     n = x.n
-    w = nc_join(x, y)
-    if is_pe_member(w):
+    w = nc_join(x, y)  # noncrossing, so the exclusions read off its code
+    if _is_pe_code(w.code):
         return w
     if (n - 1, n) in w.blocks:
         raise AssertionError(f"impossible join case for {x} v {y}: got {w}")

@@ -319,18 +319,19 @@ def label(n: int, target: str, scheme: str, check_el: bool,
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--lower", default=None,
               help="Lower endpoint, e.g. '1|23|4' (default: the atom with "
-                   "block {n-2, n-1}).")
+                   "block {n-2, n-1}, which is not in PE at n = 3).")
 @click.option("--json", "as_json", is_flag=True)
 def probe_intervals(n: int, lower: str | None, as_json: bool) -> None:
     """Cardinality of the interval [lower, top] in the PE family under
     dual refinement (membership filtering; no poset matrix needed)."""
     started = time.monotonic()
     members = pe_members(n)
-    if lower is None:
-        x = Atom(n - 2, n - 1).partition(n)
-    else:
-        x = parse_partition(lower, n)
+    x = Atom(n - 2, n - 1).partition(n) if lower is None else parse_partition(lower, n)
     if x not in set(members):
+        if lower is None:  # only at n = 3, where 12|3 is excluded
+            raise click.UsageError(
+                f"the default lower endpoint {x} (the atom {{{n - 2}, {n - 1}}}) "
+                f"is not in the PE family for n={n}; give one with --lower")
         raise click.UsageError(f"{x} is not in the PE family for n={n}")
     count = sum(1 for z in members if x.leq_dref(z))
     report = {"command": "probe-intervals", "n": n, "lower": str(x),

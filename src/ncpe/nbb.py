@@ -9,7 +9,10 @@ bases for x, and their signed count is the Moebius value from bottom to x.
 
 Every subset of an NBB set is NBB, so one search finds them all: it walks
 the atoms below x in rank order and adds an atom only when no subset
-containing it is BB, with the join of every visited set memoised.
+containing it is BB.  Atom sets are int bitmasks over the atoms below x,
+the join of every visited set is memoised by mask, and each level of the
+search filters its candidate atoms once, against the subsets that hold
+the atom last added.
 
 The bases for the full partition correspond to noncrossing trees on [n];
 the tree model also classifies which bases survive the passage from the
@@ -20,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Literal, NamedTuple
+from typing import Collection, Iterable, Literal, NamedTuple
 
 from .builders import BuildError, is_pe_member, pe_join
 from .partitions import SetPartition, nc_join
@@ -29,6 +31,8 @@ from .partitions import SetPartition, nc_join
 Ambient = Literal["nc", "pe"]
 
 NBB_MAX_N = 9
+
+_MISS = object()  # memo miss, told apart by identity
 
 
 class Atom(NamedTuple):
@@ -72,27 +76,29 @@ def ranked_atoms(n: int, ambient: Ambient) -> dict[Atom, int]:
             for a in sorted(atoms, key=lambda a: (atom_rank(a, n), a))}
 
 
-def is_bb(atoms: frozenset[Atom] | set[Atom], n: int, ambient: Ambient,
+def is_bb(atoms: Collection[Atom], n: int, ambient: Ambient,
           join: SetPartition) -> bool:
     """Bounded-below test: every member must have a strictly smaller atom
     (in the rank order) lying below `join`, the join of the whole set in
-    the ambient."""
+    the ambient.  An atom ranked below every member serves them all, so
+    the set is BB iff the first atom below the join, in rank order,
+    ranks below its least member."""
     if not atoms:
         raise BuildError("BB is defined for nonempty atom sets")
     pool = ranked_atoms(n, ambient)
+    least = n  # above every rank
     for a in atoms:
-        if a not in pool:
+        r = pool.get(a)
+        if r is None:
             raise BuildError(f"atom {a} invalid for ambient {ambient!r}, n={n}")
-    for d in atoms:
-        rd = pool[d]
-        # the join is never such an atom a: every member would then be a,
-        # d included, yet d outranks a
-        for a, r in pool.items():  # rank order; d itself ends the loop
-            if r >= rd:
-                return False
-            if join.same_block(a.i, a.j):
-                break
-    return True
+        least = min(least, r)
+    code = join.code
+    for a, r in pool.items():  # rank order
+        if r >= least:
+            return False
+        if code[a.i - 1] == code[a.j - 1]:
+            return True
+    return False
 
 
 def check_nbb_size(n: int, ambient: Ambient) -> None:
@@ -111,8 +117,14 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
     The search walks the atoms below x in that order and adds an atom to
     the chosen set only if no subset that contains the new atom is BB.
     Every subset of an NBB set is NBB, so this keeps exactly the NBB
-    sets.  The joins of all visited sets are shared by the whole search,
-    so each set is joined and tested once.
+    sets.  A set of atoms is a bitmask over the atoms below x, bit k for
+    the k-th; the joins of all visited sets are memoised by mask, so
+    each set is joined and tested once.  The masks of the chosen set's
+    subsets are kept as a list, doubled when an atom is pushed.  An atom
+    that fails against some subset of the chosen set fails against every
+    superset too, so each level filters its candidates once: a child
+    level tests the atoms that survived at its parent against the new
+    subsets alone, those that hold the atom just pushed.
     """
     check_nbb_size(n, ambient)
     if (x.n != n or not x.is_noncrossing
@@ -120,35 +132,44 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
         raise BuildError(f"{x} is not in the {ambient} ambient for n={n}")
     join_op = nc_join if ambient == "nc" else pe_join
     below = [a for a in ranked_atoms(n, ambient) if x.same_block(a.i, a.j)]
-    # join of every visited atom set, or None for a BB set
-    joins: dict[frozenset[Atom], SetPartition | None] = {
-        frozenset(): SetPartition.bottom(n)}
-    chosen: list[Atom] = []
+    parts = [a.partition(n) for a in below]
+    # join of every visited atom set by mask, or None for a BB set
+    joins: dict[int, SetPartition | None] = {0: SetPartition.bottom(n)}
+    chosen: list[int] = []  # indices into `below`
     bases: list[tuple[Atom, ...]] = []
 
-    def admits(a: Atom) -> bool:
-        for size in range(len(chosen) + 1):
-            for combo in combinations(chosen, size):
-                sub = frozenset(combo)
-                s = sub | {a}
-                if s not in joins:
-                    join = join_op(joins[sub], a.partition(n))
-                    # a singleton (size 0 here) is never BB
-                    joins[s] = None if size and is_bb(s, n, ambient, join) else join
-                if joins[s] is None:
-                    return False
-        return True
+    def survivors(candidates: list[int], subsets: list[int]) -> list[int]:
+        """The candidates k such that no mask in `subsets` plus bit k is BB."""
+        out = []
+        for k in candidates:
+            bit = 1 << k
+            for sub in subsets:
+                s = sub | bit
+                join = joins.get(s, _MISS)
+                if join is _MISS:
+                    join = join_op(joins[sub], parts[k])
+                    # a singleton is never BB
+                    if sub and is_bb([below[i] for i in chosen if sub >> i & 1]
+                                     + [below[k]], n, ambient, join):
+                        join = None
+                    joins[s] = join
+                if join is None:
+                    break
+            else:
+                out.append(k)
+        return out
 
-    def walk(start: int) -> None:
-        if joins[frozenset(chosen)] == x:
-            bases.append(tuple(chosen))
-        for k in range(start, len(below)):
-            if admits(below[k]):
-                chosen.append(below[k])
-                walk(k + 1)
-                chosen.pop()
+    def walk(mask: int, subsets: list[int], candidates: list[int]) -> None:
+        if joins[mask] == x:
+            bases.append(tuple(below[i] for i in chosen))
+        for pos, k in enumerate(candidates):
+            bit = 1 << k
+            new = [sub | bit for sub in subsets]
+            chosen.append(k)
+            walk(mask | bit, subsets + new, survivors(candidates[pos + 1:], new))
+            chosen.pop()
 
-    walk(0)
+    walk(0, [0], survivors(list(range(len(below))), [0]))
     return bases
 
 

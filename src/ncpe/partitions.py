@@ -3,9 +3,11 @@
 A partition is stored as its restricted growth string: code[e-1] is the
 index of the block holding e, blocks numbered by their least elements.
 Equal partitions therefore have equal codes, with no canonicalisation
-step; the blocks are derived from the code on demand.  The noncrossing
-closure is one scan with a stack of open blocks.  All operations are
-pure and return fresh partitions.
+step; the blocks are derived from the code on demand.  The join and
+the noncrossing closure work on the codes alone: union-find over block
+indices (the closure finds its merges in one scan with a stack of open
+blocks), then one pass that renumbers the merged blocks.  All
+operations are pure and return fresh partitions.
 """
 
 from __future__ import annotations
@@ -153,19 +155,22 @@ def join_partition(x: SetPartition, y: SetPartition) -> SetPartition:
     the blocks of x, joining the blocks of x that meet one block of y."""
     if x.n != y.n:
         raise PartitionError(f"mismatched ground sets: {x.n} != {y.n}")
-    root = list(range(max(x.code) + 1))
-    first: dict[int, int] = {}  # block of y -> first block of x it meets
+    root = list(range(max(x.code) + 1))  # block -> a smaller block it joined
+    first = [-1] * (max(y.code) + 1)  # block of y -> first block of x it meets
     for a, b in zip(x.code, y.code):
-        ra, rb = sorted((_find(root, a), _find(root, first.setdefault(b, a))))
-        root[rb] = ra
-    return _from_labels(x.n, (_find(root, a) for a in x.code))
-
-
-def _find(root: list[int], c: int) -> int:
-    """The block that block c has merged into."""
-    while root[c] != c:
-        c = root[c]
-    return c
+        f = first[b]
+        if f < 0:
+            first[b] = a
+            continue
+        while root[a] != a:
+            a = root[a]
+        while root[f] != f:
+            f = root[f]
+        if a < f:
+            root[f] = a
+        elif f < a:
+            root[a] = f
+    return SetPartition(x.n, _relabel(x.code, root))
 
 
 def nc_closure(x: SetPartition) -> SetPartition:
@@ -178,7 +183,7 @@ def nc_closure(x: SetPartition) -> SetPartition:
     element; no later merge reaches into it, so nothing crosses it.
     """
     code = x.code
-    root = list(range(max(code) + 1))  # block -> the block it merged into
+    root = list(range(max(code) + 1))  # block -> an earlier block it joined
     last = [0] * len(root)
     for e, c in enumerate(code):
         last[c] = e
@@ -189,14 +194,32 @@ def nc_closure(x: SetPartition) -> SetPartition:
             fresh += 1
             stack.append(c)
         else:
-            c = _find(root, c)
+            while root[c] != c:
+                c = root[c]
             while stack[-1] != c:
                 top = stack.pop()
                 root[top] = c
                 last[c] = max(last[c], last[top])
         if last[c] == e:
             stack.pop()
-    return _from_labels(x.n, (_find(root, c) for c in code))
+    return SetPartition(x.n, _relabel(code, root))
+
+
+def _relabel(code: tuple[int, ...], root: list[int]) -> tuple[int, ...]:
+    """The restricted growth string of `code` once each block c has
+    joined root[c] <= c.  One pass labels every block: a root takes the
+    next label, and any other block the label of root[c], set earlier.
+    The classes are thus numbered by their least blocks, which is the
+    order of their least elements."""
+    label = [0] * len(root)
+    fresh = 0
+    for c, r in enumerate(root):
+        if r == c:
+            label[c] = fresh
+            fresh += 1
+        else:
+            label[c] = label[r]
+    return tuple([label[c] for c in code])
 
 
 def nc_join(x: SetPartition, y: SetPartition) -> SetPartition:

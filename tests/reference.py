@@ -10,7 +10,10 @@ parking functions and chain words, the removed covers and their
 dominating witnesses, restriction EL on the chain-defined order, the
 PE meet, modular pairs and supersolvability, the split of a base tree
 at its root edge, the iterated join of an atom set, and the meet form
-of the left-modular labeling."""
+of the left-modular labeling.
+
+The join, noncrossing closure and PE join that relabel through
+`_from_labels` are the oracles of the code-level kernels in `src`."""
 
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -284,6 +287,67 @@ def verify_restriction_el(n: int) -> RestrictionVerdict:
 
 
 # -- lattice operations and lemmas ------------------------------------------
+
+def labelled_join_partition(x: SetPartition, y: SetPartition) -> SetPartition:
+    """The join in the full partition lattice as `join_partition` once
+    computed it: union-find over the blocks of x, each element's block
+    found by walking its root chain, and the roots renumbered by first
+    appearance through `_from_labels`."""
+    if x.n != y.n:
+        raise PartitionError(f"mismatched ground sets: {x.n} != {y.n}")
+    root = list(range(max(x.code) + 1))
+    first: dict[int, int] = {}  # block of y -> first block of x it meets
+    for a, b in zip(x.code, y.code):
+        ra, rb = sorted((_find(root, a), _find(root, first.setdefault(b, a))))
+        root[rb] = ra
+    return _from_labels(x.n, (_find(root, a) for a in x.code))
+
+
+def _find(root: list[int], c: int) -> int:
+    """The block that block c has merged into."""
+    while root[c] != c:
+        c = root[c]
+    return c
+
+
+def labelled_nc_closure(x: SetPartition) -> SetPartition:
+    """The noncrossing closure as `nc_closure` once computed it: the same
+    scan with a stack of open blocks, relabelled through `_from_labels`."""
+    code = x.code
+    root = list(range(max(code) + 1))  # block -> the block it merged into
+    last = [0] * len(root)
+    for e, c in enumerate(code):
+        last[c] = e
+    stack: list[int] = []
+    fresh = 0
+    for e, c in enumerate(code):
+        if c == fresh:  # the least element of a block
+            fresh += 1
+            stack.append(c)
+        else:
+            c = _find(root, c)
+            while stack[-1] != c:
+                top = stack.pop()
+                root[top] = c
+                last[c] = max(last[c], last[top])
+        if last[c] == e:
+            stack.pop()
+    return _from_labels(x.n, (_find(root, c) for c in code))
+
+
+def labelled_nc_join(x: SetPartition, y: SetPartition) -> SetPartition:
+    return labelled_nc_closure(labelled_join_partition(x, y))
+
+
+def labelled_pe_join(x: SetPartition, y: SetPartition) -> SetPartition:
+    """The PE join from the oracle kernels, with PE membership read off
+    the blocks: the noncrossing join, with a singleton {n} merged into
+    the block of 1 when 1 and n-1 share a block."""
+    n = x.n
+    w = labelled_nc_join(x, y)
+    if (n,) in w.blocks and w.same_block(1, n - 1):
+        return w.merge(1, n)
+    return w
 
 def meet_partition(x: SetPartition, y: SetPartition) -> SetPartition:
     """Greatest lower bound in the full partition lattice: pairwise

@@ -13,7 +13,7 @@ from ncpe.builders import (BuildError, _is_pe_code, _merge_covers, build_nc,
                            pe_members)
 from ncpe.partitions import (PartitionError, SetPartition, nc_join,
                              parse_partition)
-from reference import nc_meet, pe_meet
+from reference import labelled_pe_join, nc_meet, pe_meet
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -182,6 +182,30 @@ class TestPEMeetJoin:
                     assert z.leq_dref(m)
                 if x.leq_dref(z) and y.leq_dref(z):
                     assert j.leq_dref(z)
+
+
+class TestPEJoinKernel:
+    """`pe_join` on the code-level kernels against the labelled oracle,
+    whose PE test reads the blocks; every result is a PE member."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_pair(self, n):
+        members = pe_members(n)
+        family = set(members)
+        for x in members:
+            for y in members:
+                j = pe_join(x, y)
+                assert j == labelled_pe_join(x, y) and j in family
+
+    @pytest.mark.parametrize("n", (8, 9, 10))
+    def test_sampled_pairs(self, n):
+        members = pe_members(n)
+        family = set(members)
+        rng = random.Random(n)
+        for _ in range(1500):
+            x, y = rng.choice(members), rng.choice(members)
+            j = pe_join(x, y)
+            assert j == labelled_pe_join(x, y) and j in family
 
 
 class TestNCJoinMinimality:

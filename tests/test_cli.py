@@ -214,6 +214,19 @@ class TestProbeIntervals:
                                       "--lower", "34"])
         assert result.exit_code == 2
 
+    def test_default_atom_outside_pe_asks_for_lower(self, runner):
+        """At n = 3 the default atom 12|3 is excluded from PE; the error
+        names the default, not input the user never gave, and an
+        explicit --lower still works at n = 3."""
+        result = runner.invoke(main, ["probe-intervals", "-n", "3"])
+        assert result.exit_code == 2
+        assert "default lower endpoint 12|3" in result.output
+        assert "--lower" in result.output
+        code, report = run_json(runner, "probe-intervals", "-n", "3",
+                                "--lower", "13")
+        assert code == 0
+        assert report["lower"] == "13|2" and report["interval_size"] == 2
+
     def test_non_integer_lower_is_usage_error(self, runner):
         result = runner.invoke(main, ["probe-intervals", "-n", "5",
                                       "--lower", "1x|2"])

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from ncpe.builders import (BuildError, build_nc, build_pe_dref, catalan,
-                           enumerate_noncrossing, pe_join)
+                           enumerate_noncrossing, pe_join, pe_members)
 from ncpe.nbb import (Atom, atom_rank, base_to_tree, classification_census,
                       classify_base, enumerate_nbb_bases_top, is_bb,
                       moebius_via_nbb, nbb_bases, nc_atoms, pe_atoms,
@@ -122,6 +122,23 @@ class TestBB:
     def test_empty_rejected(self):
         with pytest.raises(BuildError):
             is_bb(set(), 4, "nc", SetPartition.bottom(4))
+
+    @pytest.mark.parametrize("ambient, n", [("nc", 5), ("pe", 5), ("nc", 6), ("pe", 6)])
+    def test_matches_definition_member_by_member(self, ambient, n):
+        """On every atom set of size 2 and 3, given as a tuple, a list or
+        a set: BB iff each member has an atom of smaller rank below the
+        join."""
+        pool = ranked_atoms(n, ambient)
+        verdicts = set()
+        for size in (2, 3):
+            for combo in combinations(pool, size):
+                join = ambient_join(combo, n, ambient)
+                want = all(any(r < pool[d] and join.same_block(a.i, a.j)
+                               for a, r in pool.items()) for d in combo)
+                for atoms in (combo, list(combo), set(combo)):
+                    assert is_bb(atoms, n, ambient, join) == want
+                verdicts.add(want)
+        assert verdicts == {False, True}
 
 
 class TestBases:
@@ -251,6 +268,11 @@ class TestOracle:
     def test_every_nc_element_matches_oracle(self, n):
         for x in enumerate_noncrossing(n):
             assert nbb_bases(n, "nc", x) == oracle_bases(n, "nc", x)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_pe_element_matches_oracle(self, n):
+        for x in pe_members(n):
+            assert nbb_bases(n, "pe", x) == oracle_bases(n, "pe", x)
 
 
 class TestArbitraryElement:

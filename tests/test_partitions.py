@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpe.builders import enumerate_partitions
+from ncpe.builders import enumerate_noncrossing, enumerate_partitions
 from ncpe.partitions import (MAX_N, PartitionError, SetPartition,
                              join_partition, nc_closure, nc_join,
                              parse_partition)
-from reference import meet_partition, nc_meet
+from reference import (labelled_nc_closure, labelled_nc_join, meet_partition,
+                       nc_meet)
 
 
 def random_partition(n: int):
@@ -253,3 +254,28 @@ class TestOracle:
             for a, b in combinations(range(len(x.blocks)), 2):
                 want = oracle_merge(x, x.blocks[a][0], x.blocks[b][0])
                 assert x.merged_code(a, b) == want.code
+
+
+class TestJoinKernels:
+    """The code-level join and closure against the labelled oracles they
+    replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_nc_closure_on_every_partition(self, n):
+        for x in enumerate_partitions(n):
+            assert nc_closure(x) == labelled_nc_closure(x)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_nc_join_on_every_pair(self, n):
+        members = enumerate_noncrossing(n)
+        for x in members:
+            for y in members:
+                assert nc_join(x, y) == labelled_nc_join(x, y)
+
+    @pytest.mark.parametrize("n", (8, 9, 10))
+    def test_nc_join_on_sampled_pairs(self, n):
+        members = enumerate_noncrossing(n)
+        rng = random.Random(n)
+        for _ in range(1500):
+            x, y = rng.choice(members), rng.choice(members)
+            assert nc_join(x, y) == labelled_nc_join(x, y)
