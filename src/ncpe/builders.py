@@ -2,6 +2,12 @@
 partitions, and the noncrossing subfamily that omits the block
 {n-1, n} and the "singleton n with 1 ~ n-1" configurations (called PE
 here), together with its native join.
+
+The build works on restricted growth strings: the noncrossing codes are
+generated in the order of their blocks, and the covers are found on one
+numpy matrix of codes by a packed-key lookup of every block merge of
+every code at once.  The sort by blocks and the per-member cover loop
+these replace are the test oracles.
 """
 
 from __future__ import annotations
@@ -10,12 +16,15 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .partitions import PartitionError, SetPartition, code_blocks, nc_join
+import numpy as np
+
+from .partitions import PartitionError, SetPartition, _merge_relabel, nc_join
 from .posets import FinitePoset
 
 PI_MAX_N = 9
 NC_MAX_N = 10
 PE_MAX_N = 10
+KEY_MAX_N = 15  # codes pack into int64 cover-search keys, 4 bits a position
 
 
 class BuildError(ValueError):
@@ -50,25 +59,41 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
 def enumerate_noncrossing(n: int) -> list[SetPartition]:
     """All noncrossing partitions of [n], ordered by their blocks.
 
-    Each element opens a block or joins one that is still open; joining
-    closes every block opened after that one, since a later element in
-    any of them would make a crossing.
+    The blocks are opened in the order of their least elements: the
+    least element m not yet placed opens the next block, which takes a
+    rising run of further elements from the gap after m, up to the next
+    element already placed (a block that went past it would cross the
+    block holding it, which has an element below m).  Each block is
+    grown in lexicographic order, first as it is and then extended by
+    each larger element in turn, so the codes come out in the order of
+    their blocks, with no sort; each partition is then built once.
     """
-    out: list[SetPartition] = []
-    code = [0] * n
+    codes: list[tuple[int, ...]] = []
+    code = [-1] * n  # the block of each element, -1 while unplaced
 
-    def rec(e: int, stack: list[int], nblocks: int) -> None:
-        if e == n:
-            out.append(SetPartition(n, tuple(code)))
+    def open_block(m: int, label: int) -> None:
+        while m < n and code[m] >= 0:
+            m += 1
+        if m == n:
+            codes.append(tuple(code))
             return
-        code[e] = nblocks
-        rec(e + 1, stack + [nblocks], nblocks + 1)
-        for k, b in enumerate(stack):
-            code[e] = b
-            rec(e + 1, stack[:k + 1], nblocks)
+        gap = m + 1
+        while gap < n and code[gap] < 0:
+            gap += 1
+        code[m] = label
+        grow(m, gap, label, m)
+        code[m] = -1
 
-    rec(0, [], 0)
-    return sorted(out, key=lambda x: code_blocks(x.code))
+    def grow(m: int, gap: int, label: int, last: int) -> None:
+        # the block of m ends at `last` so far: close it, or extend it
+        open_block(m + 1, label + 1)
+        for e in range(last + 1, gap):
+            code[e] = label
+            grow(m, gap, label, e)
+            code[e] = -1
+
+    open_block(0, 0)
+    return [SetPartition(n, c) for c in codes]
 
 
 def is_pe_member(x: SetPartition) -> bool:
@@ -104,15 +129,45 @@ def pe_members(n: int) -> tuple[SetPartition, ...]:
 def _merge_covers(members: list[SetPartition]) -> list[tuple[int, int]]:
     """Cover pairs within a family closed under the 'merge two blocks'
     cover rule of the dual refinement order, found on the codes: no
-    partition is built for a candidate."""
-    index = {x.code: i for i, x in enumerate(members)}
-    covers: list[tuple[int, int]] = []
-    for i, x in enumerate(members):
-        for a, b in combinations(range(max(x.code) + 1), 2):
-            j = index.get(x.merged_code(a, b))
-            if j is not None:
-                covers.append((i, j))
-    return covers
+    partition is built for a candidate.
+
+    The codes form one matrix, and each code packs into an int64 key, 4
+    bits per position (below 2^60 for n <= 15).  For each block pair
+    a < b, all codes with a block b are relabelled at once through the
+    merge table, packed, and looked up among the members' sorted keys.
+    The pairs (i, j) come ordered by i, then (a, b) in `combinations`
+    order.  To keep the peak RSS of a build down, the sorts are numpy's
+    stable ones, which load fewer pages of its code than the default,
+    and the indices are int32, which halves the temporaries.
+    """
+    if not members:
+        return []
+    n = members[0].n
+    if n > KEY_MAX_N:
+        raise BuildError(f"cover search packs codes of n <= {KEY_MAX_N}, got n={n}")
+    codes = np.array([x.code for x in members], dtype=np.uint8)
+    weight = np.int64(1) << np.arange(4 * (n - 1), -1, -4, dtype=np.int64)
+    keys = codes @ weight
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    sorted_keys = keys[order]
+    nblocks = codes.max(axis=1) + 1
+    lower = [np.empty(0, dtype=np.int32)]  # per block pair, the i and j of its covers
+    upper = [np.empty(0, dtype=np.int32)]
+    for a, b in combinations(range(int(nblocks.max())), 2):
+        rows = np.flatnonzero(nblocks > b).astype(np.int32)
+        merged = np.array(_merge_relabel(a, b), dtype=np.uint8)[codes[rows]] @ weight
+        at = np.searchsorted(sorted_keys, merged)
+        at[at == len(keys)] = 0  # past the last key: a miss, as the compare finds
+        hit = sorted_keys[at] == merged
+        lower.append(rows[hit])
+        upper.append(order[at[hit]])
+    del codes, keys, order, sorted_keys  # freed before the pair list is built
+    i, j = np.concatenate(lower), np.concatenate(upper)
+    del lower, upper
+    by_i = np.argsort(i, kind="stable")
+    index = list(range(len(members)))  # one int object per member, shared by the pairs
+    return list(zip(map(index.__getitem__, memoryview(i[by_i])),
+                    map(index.__getitem__, memoryview(j[by_i]))))
 
 
 def build_pi(n: int) -> FinitePoset:

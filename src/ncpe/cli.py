@@ -10,6 +10,7 @@ byte-identical across runs; timing goes to stderr in human mode only.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from math import comb
@@ -88,6 +89,18 @@ class _Command(click.Command):
             raise click.UsageError(str(exc), ctx) from None
 
 
+def _output_file(ctx: click.Context, param: click.Parameter,
+                 path: str | None) -> str | None:
+    """Reject an output file that cannot be written, as a usage error,
+    while the options are parsed and so before anything is built."""
+    if path is not None:
+        target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+        if not os.access(target, os.W_OK):
+            raise click.BadParameter(f"cannot write to {path!r}: {target!r} "
+                                     "does not exist or is not writable", ctx, param)
+    return path
+
+
 @click.group()
 def main() -> None:
     """Exact computations on noncrossing-partition posets."""
@@ -101,6 +114,7 @@ main.command_class = _Command
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.option("--dot", "dot_path", type=click.Path(dir_okay=False),
+              callback=_output_file,
               help="Write the Hasse diagram as DOT to this file.")
 def build(target: str, n: int, as_json: bool, dot_path: str | None) -> None:
     """Build a poset and report element/cover counts.
@@ -231,6 +245,7 @@ def _closed_form(target: str, n: int) -> int | None:
 @click.option("--classify", "do_classify", is_flag=True,
               help="Census of the discard classes (nc ambient only).")
 @click.option("--trees", "trees_path", type=click.Path(dir_okay=False),
+              callback=_output_file,
               help="Write all base trees as DOT to this file.")
 @click.option("--json", "as_json", is_flag=True)
 def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
@@ -288,6 +303,7 @@ def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> None:
               default="leftmod", show_default=True)
 @click.option("--check-el", is_flag=True, help="Also verify the EL-property.")
 @click.option("--dot", "dot_path", type=click.Path(dir_okay=False),
+              callback=_output_file,
               help="Write the labeled Hasse diagram as DOT to this file.")
 @click.option("--json", "as_json", is_flag=True)
 def label(n: int, target: str, scheme: str, check_el: bool,

@@ -181,6 +181,8 @@ def nc_closure(x: SetPartition) -> SetPartition:
     the stack, each block above it opened later and is still open, so it
     crosses that block and merges into it.  A block closes at its last
     element; no later merge reaches into it, so nothing crosses it.
+    The result's `is_noncrossing` is set, so an `nc_join` that takes it
+    as input does not close it again.
     """
     code = x.code
     root = list(range(max(code) + 1))  # block -> an earlier block it joined
@@ -202,7 +204,9 @@ def nc_closure(x: SetPartition) -> SetPartition:
                 last[c] = max(last[c], last[top])
         if last[c] == e:
             stack.pop()
-    return SetPartition(x.n, _relabel(code, root))
+    closed = SetPartition(x.n, _relabel(code, root))
+    closed.__dict__["is_noncrossing"] = True  # by construction; no second closure
+    return closed
 
 
 def _relabel(code: tuple[int, ...], root: list[int]) -> tuple[int, ...]:

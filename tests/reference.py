@@ -13,9 +13,13 @@ at its root edge, the iterated join of an atom set, and the meet form
 of the left-modular labeling.
 
 The join, noncrossing closure and PE join that relabel through
-`_from_labels` are the oracles of the code-level kernels in `src`."""
+`_from_labels` are the oracles of the code-level kernels in `src`, and
+the per-member cover loop and the sort by blocks are the oracles of the
+vectorised cover search and of the order in which the noncrossing
+enumeration generates its partitions."""
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,7 +32,8 @@ from ncpe.labelings import (EdgeLabeling, ELVerdict, LabelingError,
                             left_modular_labeling, parking_label, verify_el)
 from ncpe.nbb import Atom, NCTree
 from ncpe.parking import build_pe_pchn
-from ncpe.partitions import PartitionError, SetPartition, _from_labels, nc_join
+from ncpe.partitions import (PartitionError, SetPartition, _from_labels, code_blocks,
+                             nc_join)
 from ncpe.posets import FinitePoset, PosetError
 
 
@@ -348,6 +353,27 @@ def labelled_pe_join(x: SetPartition, y: SetPartition) -> SetPartition:
     if (n,) in w.blocks and w.same_block(1, n - 1):
         return w.merge(1, n)
     return w
+
+
+def code_merge_covers(members: Sequence[SetPartition]) -> list[tuple[int, int]]:
+    """The cover search as `builders._merge_covers` once ran it: for each
+    member and each pair of its blocks, the merged code is built as a
+    tuple and looked up in a dict keyed by code."""
+    index = {x.code: i for i, x in enumerate(members)}
+    covers: list[tuple[int, int]] = []
+    for i, x in enumerate(members):
+        for a, b in combinations(range(max(x.code) + 1), 2):
+            j = index.get(x.merged_code(a, b))
+            if j is not None:
+                covers.append((i, j))
+    return covers
+
+
+def sorted_by_blocks(members: Iterable[SetPartition]) -> list[SetPartition]:
+    """The partitions sorted by their blocks, with the key that
+    `enumerate_noncrossing` once sorted its output by."""
+    return sorted(members, key=lambda x: code_blocks(x.code))
+
 
 def meet_partition(x: SetPartition, y: SetPartition) -> SetPartition:
     """Greatest lower bound in the full partition lattice: pairwise

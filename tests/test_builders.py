@@ -13,7 +13,8 @@ from ncpe.builders import (BuildError, _is_pe_code, _merge_covers, build_nc,
                            pe_members)
 from ncpe.partitions import (PartitionError, SetPartition, nc_join,
                              parse_partition)
-from reference import labelled_pe_join, nc_meet, pe_meet
+from reference import (code_merge_covers, labelled_pe_join, nc_meet, pe_meet,
+                       sorted_by_blocks)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -36,6 +37,15 @@ class TestEnumeration:
             assert enumerate_noncrossing(n) == sorted(
                 (x for x in enumerate_partitions(n) if x.is_noncrossing),
                 key=lambda x: x.blocks)
+
+    @pytest.mark.parametrize("n", (8, 9, 10))
+    def test_noncrossing_in_blocks_order(self, n):
+        """Catalan(n) distinct noncrossing partitions, so all of them, in
+        the order of their blocks."""
+        members = enumerate_noncrossing(n)
+        assert len(set(members)) == len(members) == catalan(n)
+        assert all(x.is_noncrossing for x in members)
+        assert members == sorted_by_blocks(members)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_pe_count(self, n):
@@ -94,6 +104,22 @@ class TestMergeCoversOracle:
     def test_same_cover_list(self, family, n):
         members = FAMILIES[family](n)
         assert _merge_covers(members) == oracle_merge_covers(members)
+
+
+class TestMergeCoversKernel:
+    """The vectorised cover search against the per-member loop it
+    replaced, and its key-width guard."""
+
+    @pytest.mark.parametrize("family, n", [("nc", 9), ("nc", 10), ("pe", 10), ("pi", 7)])
+    def test_same_cover_list_as_code_loop(self, family, n):
+        members = FAMILIES[family](n)
+        assert _merge_covers(members) == code_merge_covers(members)
+
+    def test_key_width_guard(self):
+        atom = SetPartition.bottom(15).merge(14, 15)
+        assert _merge_covers([SetPartition.bottom(15), atom]) == [(0, 1)]
+        with pytest.raises(BuildError, match="n <= 15"):
+            _merge_covers([SetPartition.bottom(16)])
 
 
 class TestPosets:

@@ -50,6 +50,29 @@ class TestBuild:
         assert text.startswith("digraph") and "rankdir=BT" in text
 
 
+class TestUnwritableOutput:
+    """An output file that cannot be written is a usage error, found
+    before anything is built or searched."""
+
+    @pytest.mark.parametrize("args", [
+        ["build", "nc", "-n", "4", "--dot"],
+        ["label", "-n", "4", "--dot"],
+        ["nbb", "-n", "4", "--trees"],
+    ])
+    def test_missing_directory(self, runner, monkeypatch, tmp_path, args):
+        def no_work(*_):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr("ncpe.cli._build", no_work)
+        monkeypatch.setattr("ncpe.cli.enumerate_nbb_bases_top", no_work)
+        path = str(tmp_path / "missing" / "x.dot")
+        result = runner.invoke(main, [*args, path])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"cannot write to {path!r}" in result.output
+        assert "Traceback" not in result.output
+
+
 class TestVerify:
     def test_all_pass_on_pe_dref(self, runner):
         code, report = run_json(runner, "verify", "-n", "5")

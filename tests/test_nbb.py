@@ -12,7 +12,7 @@ from ncpe.nbb import (Atom, atom_rank, base_to_tree, classification_census,
                       classify_base, enumerate_nbb_bases_top, is_bb,
                       moebius_via_nbb, nbb_bases, nc_atoms, pe_atoms,
                       ranked_atoms)
-from ncpe.partitions import SetPartition, nc_join, parse_partition
+from ncpe.partitions import SetPartition, nc_closure, nc_join, parse_partition
 from reference import ambient_join, moebius_table, split_at_root_edge
 
 
@@ -158,6 +158,17 @@ class TestBases:
     def test_one_atom_per_rank(self):
         for base in enumerate_nbb_bases_top(5, "nc"):
             assert sorted(atom_rank(a, 5) for a in base) == [1, 2, 3, 4]
+
+    def test_one_closure_per_join(self, monkeypatch):
+        """Each memoised join is closed once: beyond the joins, only the
+        atoms, the bottom and the top are closed, to test their inputs."""
+        closures, joins = [], []
+        monkeypatch.setattr("ncpe.partitions.nc_closure",
+                            lambda x: closures.append(x) or nc_closure(x))
+        monkeypatch.setattr("ncpe.nbb.nc_join",
+                            lambda x, y: joins.append(x) or nc_join(x, y))
+        assert len(nbb_bases(7, "nc", SetPartition.top(7))) == catalan(6)
+        assert len(closures) <= len(joins) + len(nc_atoms(7)) + 2
 
     def test_caps(self):
         with pytest.raises(BuildError):

@@ -279,3 +279,22 @@ class TestJoinKernels:
         for _ in range(1500):
             x, y = rng.choice(members), rng.choice(members)
             assert nc_join(x, y) == labelled_nc_join(x, y)
+
+    def test_closure_is_known_noncrossing(self, monkeypatch):
+        """A closure result used as a join input is not closed again, and a
+        crossing input is still rejected."""
+        x = parse_partition("13|24|5")
+        w = nc_closure(x)
+        assert w == parse_partition("1234|5")
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return nc_closure(z)
+
+        monkeypatch.setattr("ncpe.partitions.nc_closure", counted)
+        assert w.is_noncrossing and not calls
+        assert nc_join(w, parse_partition("1|2|3|45")) == SetPartition.top(5)
+        assert len(calls) == 2  # the unclosed right input, and the plain join
+        with pytest.raises(PartitionError):
+            nc_join(w, x)
