@@ -133,26 +133,65 @@ class ELVerdict:
 def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     """Exhaustive EL check: in every interval, exactly one rising maximal
     chain, whose word is strictly lexicographically least (the least
-    word, and no other chain has it: it would be rising too)."""
-    poset._require_bounded()
-    n = len(poset.keys)
-    for x in range(n):
-        above = np.flatnonzero(poset.leq[x])
-        for y in above:
-            if y == x:
-                continue
-            chains = poset.interval_maximal_chains(x, int(y))
-            words = [labeling.word(c) for c in chains]
-            rising = [w for w in words if is_rising(w)]
-            if len(rising) != 1 or rising[0] != min(words):
-                return ELVerdict(False, witness={
-                    "interval": (str(poset.keys[x]), str(poset.keys[int(y)])),
-                    "rising_chains": [
-                        [str(poset.keys[v]) for v in c]
-                        for c, w in zip(chains, words) if is_rising(w)],
-                    "words": sorted(words)[:10],
-                })
+    word, and no other chain has it: it would be rising too).
+
+    One chain walk per lower endpoint x.  The poset is bounded, so every
+    saturated x-to-y chain extends upward to the top: it is a prefix of
+    a maximal chain of [x, 1].  The walker emits the chains of [x, 1] in
+    lexicographic order, so chains that share a prefix come one after
+    another, and each chain's prefixes beyond the part it shares with
+    the previous chain are x-to-w chains not seen before.  Each extends
+    the word of the prefix one shorter by one label, and is rising iff
+    that prefix is and the label exceeds its last.  Per w this counts
+    the rising x-to-w chains and keeps the least word (tuples, so words
+    of different lengths compare as before).  Then [x, y] passes iff it
+    has exactly one rising chain and its least word is rising; the
+    intervals are checked in the order of `leq[x]`, and the first
+    failing one gets its witness from the chains of [x, y] alone."""
+    _, top = poset._require_bounded()
+    by_lower = labeling._by_lower
+    for x in range(len(poset.keys)):
+        if x == top:
+            continue
+        rising_count: dict[int, int] = {}
+        least: dict[int, tuple[int, ...]] = {}
+        words: list[tuple[int, ...]] = [()]  # words[i]: the word of chain[:i + 1]
+        rise = 0  # chain[:rise + 1] is the longest rising prefix
+        prev: tuple = (x, None)  # the first chain shares only (x,) with it
+        for chain in poset.interval_maximal_chains(x, top):
+            k = 1
+            while chain[k] == prev[k]:
+                k += 1
+            del words[k:]
+            rise = min(rise, k - 1)
+            word = words[-1]
+            for i in range(k, len(chain)):
+                w = chain[i]
+                label = by_lower[chain[i - 1]][w]
+                if rise == i - 1 and (i == 1 or word[-1] < label):
+                    rise = i
+                    rising_count[w] = rising_count.get(w, 0) + 1
+                word += (label,)
+                words.append(word)
+                if w not in least or word < least[w]:
+                    least[w] = word
+            prev = chain
+        for y in np.flatnonzero(poset.leq[x]).tolist():
+            if y != x and (rising_count.get(y) != 1 or not is_rising(least[y])):
+                return ELVerdict(False, witness=_el_witness(poset, labeling, x, y))
     return ELVerdict(True)
+
+
+def _el_witness(poset: FinitePoset, labeling: EdgeLabeling, x: int, y: int) -> dict:
+    """The rising chains of [x, y] and its ten least words."""
+    chains = poset.interval_maximal_chains(x, y)
+    words = [labeling.word(c) for c in chains]
+    return {
+        "interval": (str(poset.keys[x]), str(poset.keys[y])),
+        "rising_chains": [[str(poset.keys[v]) for v in c]
+                          for c, w in zip(chains, words) if is_rising(w)],
+        "words": sorted(words)[:10],
+    }
 
 
 def verify_sn_el(poset: FinitePoset, labeling: EdgeLabeling) -> bool:

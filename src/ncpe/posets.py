@@ -164,7 +164,13 @@ class FinitePoset:
         order of element indices (covers of an interval coincide with
         covers of the full poset).  Depth-first with an explicit stack of
         successor iterators; each element's successors below y are
-        filtered once per call."""
+        filtered once per call.
+
+        Being depth-first, the walk emits the chains that share a prefix
+        one after another, and callers rely on this contiguity:
+        `verify_el` reads every saturated chain from x as a prefix of the
+        chains of [x, 1] and takes each prefix once, when it first
+        differs from the previous chain."""
         if x == y:
             yield (x,)
             return

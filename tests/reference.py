@@ -1,9 +1,10 @@
 """Definitions that only the tests use: a poset from its relation matrix,
 the row-OR closure and sort-based topological order that `from_covers`
 once used, the full Moebius table of a poset, the unique rising maximal
-chain of an edge labeling, the parking label by its block-set rule, and
-the chain family of the noncrossing lattice that defines the
-chain-defined order on PE.
+chain of an edge labeling, the EL check by one chain list per
+interval, the parking label by its block-set rule, and the chain
+family of the noncrossing lattice that defines the chain-defined order
+on PE.
 
 They also hold the checks of the paper's lemmas that no command runs:
 parking functions and chain words, the removed covers and their
@@ -136,6 +137,29 @@ def unique_rising_chain(p: FinitePoset, labeling: EdgeLabeling) -> tuple[int, ..
     rising = [c for c in p.iter_maximal_chains() if is_rising(labeling.word(c))]
     assert len(rising) == 1, f"expected one rising maximal chain, found {len(rising)}"
     return rising[0]
+
+
+def verify_el_by_intervals(p: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
+    """The EL check by its definition, one chain list per interval [x, y]:
+    exactly one rising maximal chain, whose word is the least.  The
+    oracle of `verify_el`, which walks once per lower endpoint."""
+    p._require_bounded()
+    for x in range(len(p.keys)):
+        for y in np.flatnonzero(p.leq[x]):
+            if y == x:
+                continue
+            chains = p.interval_maximal_chains(x, int(y))
+            words = [labeling.word(c) for c in chains]
+            rising = [w for w in words if is_rising(w)]
+            if len(rising) != 1 or rising[0] != min(words):
+                return ELVerdict(False, witness={
+                    "interval": (str(p.keys[x]), str(p.keys[int(y)])),
+                    "rising_chains": [
+                        [str(p.keys[v]) for v in c]
+                        for c, w in zip(chains, words) if is_rising(w)],
+                    "words": sorted(words)[:10],
+                })
+    return ELVerdict(True)
 
 
 def block_set_parking_label(x: SetPartition, y: SetPartition) -> int:

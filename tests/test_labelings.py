@@ -1,20 +1,26 @@
 """Edge labelings: left-modular, parking, and the classical scheme, with
 exhaustive EL verification."""
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from ncpe.builders import (build_nc, build_pe_dref, build_pi, distinguished_chain,
                            enumerate_partitions)
-from ncpe.labelings import (LabelingError, count_decreasing_chains, is_rising,
-                            is_weakly_decreasing, left_modular_labeling,
+from ncpe.cli import _labeling
+from ncpe.labelings import (EdgeLabeling, LabelingError, count_decreasing_chains,
+                            is_rising, is_weakly_decreasing, left_modular_labeling,
                             parking_label, parking_labeling, usual_labeling,
                             verify_el, verify_sn_el)
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import SetPartition, parse_partition
+from ncpe.posets import FinitePoset
 from reference import (block_set_parking_label, meet_form_labels,
-                       unique_rising_chain)
+                       unique_rising_chain, verify_el_by_intervals)
+
+BUILDS = {"nc": build_nc, "pe-dref": build_pe_dref, "pe-pchn": build_pe_pchn,
+          "pi": build_pi}
 
 
 def label_or_error(label, x, y):
@@ -37,7 +43,6 @@ class TestWords:
         assert not is_weakly_decreasing((1, 2))
 
     def test_domain_must_match_covers(self):
-        from ncpe.labelings import EdgeLabeling
         p = build_pe_dref(4)
         with pytest.raises(LabelingError):
             EdgeLabeling(p, {})
@@ -179,3 +184,94 @@ class TestDecreasingChains:
         restricted = lam.restrict(pchn)
         assert len(restricted.labels) == len(pchn.covers)
         assert count_decreasing_chains(pchn, restricted) == 0
+
+
+@lru_cache(maxsize=None)
+def labeled(target, n, scheme):
+    p = BUILDS[target](n)
+    return p, _labeling(target, n, p, scheme)
+
+
+# pentagon: bottom < a < c < top (word (l01, l13, l34)), bottom < b < top
+# (word (l02, l24)); each case gives the long word, then the short one
+N5_COVERS = [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)]
+N5 = FinitePoset.from_covers(["0", "a", "b", "c", "1"], N5_COVERS)
+N5_WORDS = {
+    "el": ((1, 2, 3), (2, 1)),
+    "short-rising-prefix": ((1, 2, 3), (1, 2)),
+    "short-least": ((1, 2, 3), (1, 0)),
+    "short-least-tie": ((1, 2, 3), (1, 1)),
+    "fails-above-bottom": ((1, 3, 2), (0, 5)),
+}
+
+
+def pentagon_labeling(long, short):
+    return EdgeLabeling(N5, dict(zip(N5_COVERS, long + short)))
+
+
+def swapped(lam):
+    """The labels of the first two covers out of the bottom that differ,
+    exchanged."""
+    bottom = lam.poset.bottom
+    first, *rest = [e for e in lam.poset.covers if e[0] == bottom]
+    other = next(e for e in rest if lam.labels[e] != lam.labels[first])
+    labels = dict(lam.labels)
+    labels[first], labels[other] = labels[other], labels[first]
+    return EdgeLabeling(lam.poset, labels)
+
+
+class TestELOracle:
+    """`verify_el` walks once per lower endpoint; the per-interval
+    definition must give the same verdict and the same witness."""
+
+    @pytest.mark.parametrize("scheme", ["left-modular", "usual", "parking"])
+    @pytest.mark.parametrize("target,n", [(t, n) for t in ("nc", "pe-dref", "pe-pchn")
+                                          for n in range(3, 8)])
+    def test_partition_posets(self, target, n, scheme):
+        p, lam = labeled(target, n, scheme)
+        assert verify_el(p, lam) == verify_el_by_intervals(p, lam)
+
+    @pytest.mark.parametrize("scheme", ["usual", "parking"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_full_partition_lattice(self, n, scheme):
+        p, lam = labeled("pi", n, scheme)
+        assert verify_el(p, lam) == verify_el_by_intervals(p, lam)
+
+    @pytest.mark.parametrize("case", N5_WORDS)
+    def test_pentagon_words_of_different_lengths(self, case):
+        lam = pentagon_labeling(*N5_WORDS[case])
+        verdict = verify_el(N5, lam)
+        assert verdict.el == (case == "el")
+        assert verdict == verify_el_by_intervals(N5, lam)
+
+    def test_pentagon_witnesses(self):
+        least = verify_el(N5, pentagon_labeling(*N5_WORDS["short-least"]))
+        assert least.witness == {"interval": ("0", "1"),
+                                 "rising_chains": [["0", "a", "c", "1"]],
+                                 "words": [(1, 0), (1, 2, 3)]}
+        above = verify_el(N5, pentagon_labeling(*N5_WORDS["fails-above-bottom"]))
+        assert above.witness["interval"] == ("a", "1")
+
+    @pytest.mark.parametrize("target,n", [("nc", 5), ("pe-dref", 6), ("pe-pchn", 6)])
+    def test_mutated_labelings_fail_alike(self, target, n):
+        p, lam = labeled(target, n, "left-modular")
+        flat = EdgeLabeling(p, dict.fromkeys(lam.labels, 1))
+        for bad in (swapped(lam), flat):
+            verdict = verify_el(p, bad)
+            assert not verdict.el
+            assert verdict == verify_el_by_intervals(p, bad)
+
+    @pytest.mark.parametrize("target,n", [("nc", 6), ("pe-dref", 7), ("pe-pchn", 7)])
+    def test_one_walk_per_lower_endpoint(self, target, n, monkeypatch):
+        p, lam = labeled(target, n, "left-modular")
+        calls = []
+        original = FinitePoset.interval_maximal_chains
+
+        def counting(self, x, y):
+            calls.append(x)
+            return original(self, x, y)
+
+        monkeypatch.setattr(FinitePoset, "interval_maximal_chains", counting)
+        assert verify_el(p, lam).el
+        assert len(calls) <= len(p.keys) - 1
+        assert len(set(calls)) == len(calls)

@@ -1,7 +1,7 @@
-"""Each job of the benchmark's `build` workload (`perfbench/workloads.py`),
+"""Each job of every benchmark workload (`perfbench/workloads.py`),
 replayed in process: its exit code, stdout sha256 and report fields must
-match the pins there, so that a reordered element or cover fails here and
-not only in a benchmark run."""
+match the pins there, so that a reordered element or cover, or a changed
+verdict or witness, fails here and not only in a benchmark run."""
 
 import importlib.util
 import sys
@@ -24,10 +24,33 @@ def load_workloads():
 
 
 WORKLOADS = load_workloads()
-BUILD_JOBS = WORKLOADS.WORKLOADS["build"]
 
 
-@pytest.mark.parametrize("job", BUILD_JOBS, ids=[job.name for job in BUILD_JOBS])
-def test_build_job_matches_pins(job):
+def jobs(workload):
+    """One test per workload, so that a failure names its workload."""
+    listed = WORKLOADS.WORKLOADS[workload]
+    return pytest.mark.parametrize("job", listed, ids=[job.name for job in listed])
+
+
+def replay(job):
     result = CliRunner().invoke(main, list(job.args))
     assert WORKLOADS.check(job, result.exit_code, result.stdout_bytes) == []
+
+
+@jobs("build")
+def test_build_job_matches_pins(job):
+    replay(job)
+
+
+@jobs("verify")
+def test_verify_job_matches_pins(job):
+    replay(job)
+
+
+@jobs("nbb")
+def test_nbb_job_matches_pins(job):
+    replay(job)
+
+
+def test_every_workload_is_replayed():
+    assert WORKLOADS.WORKLOADS.keys() == {"build", "verify", "nbb"}
