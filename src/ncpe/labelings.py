@@ -147,12 +147,24 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     of different lengths compare as before).  Then [x, y] passes iff it
     has exactly one rising chain and its least word is rising; the
     intervals are checked in the order of `leq[x]`, and the first
-    failing one gets its witness from the chains of [x, y] alone."""
+    failing one gets its witness from the chains of [x, y] alone.
+
+    The walk from x lists every maximal chain of [x, 1] before any
+    interval is judged.  So that a labeling failing just above x does
+    not pay for it, the intervals of length two above x are judged
+    first from the cover labels; if one fails, x's intervals are
+    checked one at a time in `leq[x]` order, each from its own chains,
+    up to the first failing one."""
     _, top = poset._require_bounded()
     by_lower = labeling._by_lower
+    height = poset.height.tolist()
     for x in range(len(poset.keys)):
         if x == top:
             continue
+        uppers = np.flatnonzero(poset.leq[x]).tolist()
+        if _length_two_fails(by_lower, height, x):
+            return ELVerdict(False, witness=next(filter(None, (
+                _interval_witness(poset, labeling, x, y) for y in uppers if y != x))))
         rising_count: dict[int, int] = {}
         least: dict[int, tuple[int, ...]] = {}
         words: list[tuple[int, ...]] = [()]  # words[i]: the word of chain[:i + 1]
@@ -176,20 +188,38 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
                 if w not in least or word < least[w]:
                     least[w] = word
             prev = chain
-        for y in np.flatnonzero(poset.leq[x]).tolist():
+        for y in uppers:
             if y != x and (rising_count.get(y) != 1 or not is_rising(least[y])):
-                return ELVerdict(False, witness=_el_witness(poset, labeling, x, y))
+                return ELVerdict(False, witness=_interval_witness(poset, labeling, x, y))
     return ELVerdict(True)
 
 
-def _el_witness(poset: FinitePoset, labeling: EdgeLabeling, x: int, y: int) -> dict:
-    """The rising chains of [x, y] and its ten least words."""
+def _length_two_fails(by_lower: list[dict[int, int]], height: list[int], x: int) -> bool:
+    """Whether some interval [x, z] whose saturated chains all have
+    length two fails EL.  Those chains are the x < c < z over covers,
+    and they are all of [x, z]'s chains iff height[z] = height[x] + 2
+    (a longer one would lift z's longest chain from the bottom)."""
+    words: dict[int, list[tuple[int, int]]] = {}
+    for c, a in by_lower[x].items():
+        for z, b in by_lower[c].items():
+            if height[z] == height[x] + 2:
+                words.setdefault(z, []).append((a, b))
+    return any(sum(a < b for a, b in ws) != 1 or not is_rising(min(ws))
+               for ws in words.values())
+
+
+def _interval_witness(poset: FinitePoset, labeling: EdgeLabeling,
+                      x: int, y: int) -> dict | None:
+    """None if [x, y] passes EL; else its rising chains and its ten
+    least words."""
     chains = poset.interval_maximal_chains(x, y)
     words = [labeling.word(c) for c in chains]
+    rising = [c for c, w in zip(chains, words) if is_rising(w)]
+    if len(rising) == 1 and is_rising(min(words)):
+        return None
     return {
         "interval": (str(poset.keys[x]), str(poset.keys[y])),
-        "rising_chains": [[str(poset.keys[v]) for v in c]
-                          for c, w in zip(chains, words) if is_rising(w)],
+        "rising_chains": [[str(poset.keys[v]) for v in c] for c in rising],
         "words": sorted(words)[:10],
     }
 

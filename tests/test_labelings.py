@@ -205,6 +205,26 @@ N5_WORDS = {
 }
 
 
+# hexagon: two strands 0 < a < c < 1 (first three covers) and 0 < b < d < 1;
+# graded of rank 3, and each interval of length two is a single chain
+HEXAGON_COVERS = [(0, 1), (1, 3), (3, 5), (0, 2), (2, 4), (4, 5)]
+HEXAGON = FinitePoset.from_covers(["0", "a", "b", "c", "d", "1"], HEXAGON_COVERS)
+
+
+def listing_log(monkeypatch):
+    """(x, y, number of chains) of every `interval_maximal_chains` call."""
+    log = []
+    original = FinitePoset.interval_maximal_chains
+
+    def logged(self, x, y):
+        chains = original(self, x, y)
+        log.append((x, y, len(chains)))
+        return chains
+
+    monkeypatch.setattr(FinitePoset, "interval_maximal_chains", logged)
+    return log
+
+
 def pentagon_labeling(long, short):
     return EdgeLabeling(N5, dict(zip(N5_COVERS, long + short)))
 
@@ -264,14 +284,35 @@ class TestELOracle:
     @pytest.mark.parametrize("target,n", [("nc", 6), ("pe-dref", 7), ("pe-pchn", 7)])
     def test_one_walk_per_lower_endpoint(self, target, n, monkeypatch):
         p, lam = labeled(target, n, "left-modular")
-        calls = []
-        original = FinitePoset.interval_maximal_chains
-
-        def counting(self, x, y):
-            calls.append(x)
-            return original(self, x, y)
-
-        monkeypatch.setattr(FinitePoset, "interval_maximal_chains", counting)
+        log = listing_log(monkeypatch)
         assert verify_el(p, lam).el
-        assert len(calls) <= len(p.keys) - 1
-        assert len(set(calls)) == len(calls)
+        assert len(log) <= len(p.keys) - 1
+        assert len({x for x, _, _ in log}) == len(log)
+
+    @pytest.mark.parametrize("target,n,scheme", [("nc", 8, "parking"),
+                                                 ("pe-dref", 8, "usual"),
+                                                 ("pe-pchn", 8, "usual")])
+    def test_failing_labeling_lists_few_chains(self, target, n, scheme, monkeypatch):
+        """These labelings first fail in an interval of length two above the
+        bottom: `verify_el` lists no more chains than the per-interval check
+        and never walks to the top."""
+        p, lam = labeled(target, n, scheme)
+        log = listing_log(monkeypatch)
+        verdict = verify_el(p, lam)
+        ours = list(log)
+        log.clear()
+        assert verdict == verify_el_by_intervals(p, lam)
+        assert not verdict.el
+        assert sum(count for _, _, count in ours) <= sum(count for _, _, count in log)
+        assert all(y != p.top for _, y, _ in ours)
+
+    def test_failure_beyond_length_two(self):
+        """Both strands of the hexagon rise, so every interval of length two
+        passes and only the walk from the bottom finds [0, 1] failing."""
+        lam = EdgeLabeling(HEXAGON, dict(zip(HEXAGON_COVERS, (1, 2, 3, 2, 3, 4))))
+        verdict = verify_el(HEXAGON, lam)
+        assert verdict == verify_el_by_intervals(HEXAGON, lam)
+        assert verdict.witness == {
+            "interval": ("0", "1"),
+            "rising_chains": [["0", "a", "c", "1"], ["0", "b", "d", "1"]],
+            "words": [(1, 2, 3), (2, 3, 4)]}
