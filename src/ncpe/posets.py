@@ -5,6 +5,14 @@ structure.  The order is kept as a dense boolean matrix, cover relations
 as an adjacency list (the transitive reduction).  `from_covers` closes
 the covers on Python-int bitsets, dropping each row once it is unpacked
 and its lower covers have read it.
+
+The join table is built by the cover recursion, one height level at a
+time: row x reads only the rows of its upper covers, which are strictly
+higher, so a whole level is filled by one gather per block of rows.  Of
+the candidates join(c, y) over the covers c of x, a least one lies
+strictly below all the others, so it is the one of least rank when the
+elements are ranked by (height, index); one order check confirms it.
+The meet table is the same construction on the dual.
 """
 
 from __future__ import annotations
@@ -13,9 +21,16 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+
+# entries of one (rows, covers, elements) gather in _extremum_table
+GATHER_LIMIT = 1 << 20
+# _moebius_to keeps int64 values while their absolute sum stays below this
+MOEBIUS_INT64_BOUND = 1 << 62
 
 
 class PosetError(ValueError):
@@ -145,17 +160,21 @@ class FinitePoset:
 
     @cached_property
     def height(self) -> np.ndarray:
-        """Longest-chain length from a minimal element, per element."""
-        h = np.zeros(len(self.keys), dtype=np.int64)
-        for v in self._topo:
-            for w in self.upper_covers[v]:
-                h[w] = max(h[w], h[v] + 1)
-        return h
-
-    @cached_property
-    def _topo(self) -> list[int]:
-        return _topological_order(len(self.keys), self.upper_covers,
-                                  list(map(len, self.lower_covers)))
+        """Longest-chain length from a minimal element, per element.
+        Round k raises h[j] to h[i] + 1 over every cover (i, j) at once,
+        which settles every element of height k; a round that changes
+        nothing ends the loop."""
+        n, pairs = len(self.keys), len(self.covers)
+        lo = np.fromiter(map(itemgetter(0), self.covers), dtype=np.int64, count=pairs)
+        hi = np.fromiter(map(itemgetter(1), self.covers), dtype=np.int64, count=pairs)
+        h = np.zeros(n, dtype=np.int64)
+        for _ in range(n + 1):  # a chain has at most n - 1 covers
+            raised = h.copy()
+            np.maximum.at(raised, hi, h[lo] + 1)
+            if np.array_equal(raised, h):
+                return h
+            h = raised
+        raise PosetError("cover relation contains a cycle")
 
     # -- chains ----------------------------------------------------------
 
@@ -164,7 +183,7 @@ class FinitePoset:
         order of element indices (covers of an interval coincide with
         covers of the full poset).  Depth-first with an explicit stack of
         successor iterators; each element's successors below y are
-        filtered once per call.
+        filtered once per call, unless y is the top.
 
         Being depth-first, the walk emits the chains that share a prefix
         one after another, and callers rely on this contiguity:
@@ -174,10 +193,11 @@ class FinitePoset:
         if x == y:
             yield (x,)
             return
-        up, below = self.upper_covers, self.leq[:, y].tolist()
-        succ: dict[int, list[int]] = {}
+        up = self.upper_covers
+        # every upper cover of an element lies below the top: no filter
+        succ = up if y == self.top else _CoversBelow(up, self.leq[:, y].tolist())
         chain = [x]
-        stack = [iter([w for w in up[x] if below[w]])]
+        stack = [iter(succ[x])]
         while stack:
             w = next(stack[-1], None)
             if w is None:
@@ -186,11 +206,8 @@ class FinitePoset:
             elif w == y:
                 yield (*chain, y)
             else:
-                ws = succ.get(w)
-                if ws is None:
-                    ws = succ[w] = [v for v in up[w] if below[v]]
                 chain.append(w)
-                stack.append(iter(ws))
+                stack.append(iter(succ[w]))
 
     def iter_maximal_chains(self) -> Iterator[tuple[int, ...]]:
         """All bottom-to-top saturated chains, lexicographically."""
@@ -240,18 +257,26 @@ class FinitePoset:
 
     def moebius_bottom_top(self) -> int:
         bot, top = self._require_bounded()
-        return self._moebius_to(top)[bot]
+        return int(self._moebius_to(top)[bot])
 
-    def _moebius_to(self, y: int) -> dict[int, int]:
-        """mu(x, y) for every x <= y by the standard recursion
-        mu(x, y) = -sum_{x < z <= y} mu(z, y), in decreasing height order:
-        every such z is higher than x, so its value is already known."""
-        leq = self.leq
-        below = np.flatnonzero(leq[:, y])
-        mu: dict[int, int] = {y: 1}
-        for x in sorted(below, key=lambda v: -int(self.height[v])):
-            if x != y:
-                mu[x] = -sum(mu[z] for z in below if leq[x, z] and z != x)
+    def _moebius_to(self, y: int) -> np.ndarray:
+        """mu(x, y) per element x, 0 unless x <= y, by the recursion
+        mu(x, y) = -sum_{x < z <= y} mu(z, y) in decreasing height order:
+        every such z is higher than x, so its value is already known,
+        and mu(x, y) is still 0 when its own sum is taken.  The values
+        are int64 while their absolute sum is below MOEBIUS_INT64_BOUND,
+        which no partial sum can then pass; past it they are Python ints."""
+        below = self.leq[:, y].copy()
+        xs = np.flatnonzero(below)
+        xs = xs[np.argsort(-self.height[xs], kind="stable")]  # y first
+        mu = np.zeros(len(self.keys), dtype=np.int64)
+        mu[y] = total = 1
+        for x in xs[1:].tolist():
+            if total >= MOEBIUS_INT64_BOUND and mu.dtype != object:
+                mu = mu.astype(object)
+            value = -int(mu[self.leq[x] & below].sum())
+            mu[x] = value
+            total += abs(value)
         return mu
 
     # -- lattice structure ---------------------------------------------------
@@ -265,8 +290,8 @@ class FinitePoset:
     @cached_property
     def _lattice(self) -> LatticeCheck:
         leq, h = self.leq, self.height
-        join = _extremum_table(leq, self.upper_covers, reversed(self._topo), h)
-        meet = _extremum_table(leq.T, self.lower_covers, self._topo, -h)
+        join = _extremum_table(leq, self.upper_covers, h)
+        meet = _extremum_table(leq.T, self.lower_covers, -h)
         if (join >= 0).all() and (meet >= 0).all():
             return LatticeCheck(True, meet=meet, join=join)
         # the first failing pair (i, j >= i) in row-major order, join
@@ -330,34 +355,70 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
 
-def _extremum_table(leq: np.ndarray, covers: list[list[int]],
-                    order: Iterable[int], height: np.ndarray) -> np.ndarray:
-    """Join table by the cover recursion (the meet table is the same call
-    on the dual: leq.T, lower covers, forward order and -height).
+class _CoversBelow(dict):
+    """Upper covers that lie below a fixed element, per element, each
+    list filtered on first use."""
 
-    Rows are filled in an order that puts every upper cover of x before
-    x.  For y incomparable to x every upper bound of x and y lies above
-    some upper cover c of x, so join(x, y) is the least of the
-    join(c, y), if one of them lies below all the others, and no join
-    exists otherwise (-1).  When some join(c, y) is itself undefined the
-    entry is undecided (-2): join(x, y) may still exist.
+    def __init__(self, up: list[list[int]], below: list[bool]):
+        super().__init__()
+        self.up, self.below = up, below
+
+    def __missing__(self, w: int) -> list[int]:
+        ws = self[w] = [v for v in self.up[w] if self.below[v]]
+        return ws
+
+
+def _extremum_table(leq: np.ndarray, covers: list[list[int]],
+                    height: np.ndarray) -> np.ndarray:
+    """Join table by the cover recursion (the meet table is the same call
+    on the dual: leq.T, lower covers and -height).
+
+    For y incomparable to x every upper bound of x and y lies above some
+    upper cover c of x, so join(x, y) is the least of the join(c, y), if
+    one of them lies below all the others, and no join exists otherwise
+    (-1).  When some join(c, y) is itself undefined the entry is
+    undecided (-2): join(x, y) may still exist.
+
+    Row x reads only the rows of its upper covers, which are strictly
+    higher, so all rows of one height are filled together, from the
+    greatest height down.  The rows of a level are batched by their
+    number of covers, so that one gather of (rows, covers, elements)
+    needs no padding, and a batch is cut into blocks whose gather holds
+    at most GATHER_LIMIT entries, or one row where a row alone holds more.
+
+    A least candidate lies strictly below every other one, so it is the
+    unique candidate of least height.  The elements are ranked once by
+    (height, index), and the candidate of least rank is the only one
+    that can be least; the check that it lies below all the others
+    decides between it and -1.
     """
     n = leq.shape[0]
-    table = np.full((n, n), -1,
-                    dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
-    for x in order:
-        above, below = leq[x], leq[:, x]
-        table[x, above] = np.flatnonzero(above)
-        table[x, below] = x
-        rest = np.flatnonzero(~(above | below))
-        if len(rest) == 0 or not covers[x]:
-            continue  # a maximal x shares no upper bound with any such y
-        cand = table[covers[x]][:, rest]
-        undecided = (cand < 0).any(axis=0)
-        cand[cand < 0] = 0  # any valid index; these entries end undecided
-        best = cand[height[cand].argmin(axis=0), np.arange(len(rest))]
-        least = leq[best, cand].all(axis=0)
-        table[x, rest] = np.where(undecided, -2, np.where(least, best, -1))
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    table = np.empty((n, n), dtype=dtype)
+    ids = np.arange(n, dtype=dtype)
+    by_rank = np.argsort(height, kind="stable").astype(dtype)
+    rank = np.full(n + 2, -1, dtype=dtype)  # entries -2 and -1 rank -1
+    rank[by_rank] = ids
+    levels = np.split(by_rank, np.flatnonzero(np.diff(height[by_rank])) + 1)
+    for level in reversed(levels):
+        by_width: dict[int, list[int]] = {}
+        for x in level.tolist():
+            by_width.setdefault(len(covers[x]), []).append(x)
+        for width, batch in by_width.items():
+            step = max(1, GATHER_LIMIT // (n * max(width, 1)))
+            for start in range(0, len(batch), step):
+                block = batch[start:start + step]
+                # y above x gives y, y below x gives x, -1 off the cone
+                rows = np.where(leq[block], ids, np.where(
+                    leq[:, block].T, np.array(block, dtype=dtype)[:, None], -1))
+                if width:  # a maximal x keeps -1 off its cone
+                    cand = table[[covers[x] for x in block]]
+                    least_rank = rank[cand].min(axis=1)  # -1: some candidate undefined
+                    best = by_rank[least_rank]
+                    least = leq[best[:, None, :], cand].all(axis=1)
+                    rows = np.where(rows >= 0, rows, np.where(
+                        least_rank < 0, -2, np.where(least, best, -1)))
+                table[block] = rows
     return table
 
 

@@ -35,7 +35,7 @@ from ncpe.nbb import Atom, NCTree
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import (PartitionError, SetPartition, _from_labels, code_blocks,
                              nc_join)
-from ncpe.posets import FinitePoset, PosetError
+from ncpe.posets import FinitePoset, PosetError, _topological_order
 
 
 def from_leq_matrix(keys: Sequence[Hashable], leq: np.ndarray) -> FinitePoset:
@@ -126,10 +126,71 @@ def row_or_from_covers(keys: Sequence[Hashable],
     return FinitePoset(keys, leq, covers)
 
 
+def per_row_extremum_table(leq: np.ndarray, covers: list[list[int]],
+                           order: Iterable[int], height: np.ndarray) -> np.ndarray:
+    """Join table by the cover recursion, one numpy step per row, in an
+    order that puts every upper cover of x before x (the meet table is
+    the same call on leq.T, lower covers, a forward order and -height).
+    The least join(c, y) over the covers c of x is found by the least
+    height among them.  The oracle of `_extremum_table`, which fills one
+    height level at a time and finds that candidate by rank."""
+    n = leq.shape[0]
+    table = np.full((n, n), -1,
+                    dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+    for x in order:
+        above, below = leq[x], leq[:, x]
+        table[x, above] = np.flatnonzero(above)
+        table[x, below] = x
+        rest = np.flatnonzero(~(above | below))
+        if len(rest) == 0 or not covers[x]:
+            continue  # a maximal x shares no upper bound with any such y
+        cand = table[covers[x]][:, rest]
+        undecided = (cand < 0).any(axis=0)
+        cand[cand < 0] = 0  # any valid index; these entries end undecided
+        best = cand[height[cand].argmin(axis=0), np.arange(len(rest))]
+        least = leq[best, cand].all(axis=0)
+        table[x, rest] = np.where(undecided, -2, np.where(least, best, -1))
+    return table
+
+
+def per_row_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    """The join and meet tables (with their -1 and -2 entries) by
+    `per_row_extremum_table` over the heap topological order."""
+    n, h = len(p.keys), p.height
+    topo = _topological_order(n, p.upper_covers, [len(c) for c in p.lower_covers])
+    return (per_row_extremum_table(p.leq, p.upper_covers, reversed(topo), h),
+            per_row_extremum_table(p.leq.T, p.lower_covers, topo, -h))
+
+
+def loop_height(p: FinitePoset) -> np.ndarray:
+    """Longest-chain length from a minimal element, per element, by one
+    Python step per cover in topological order.  The oracle of
+    `FinitePoset.height`, which relaxes all covers at once per round."""
+    n = len(p.keys)
+    h = np.zeros(n, dtype=np.int64)
+    for v in _topological_order(n, p.upper_covers, [len(c) for c in p.lower_covers]):
+        for w in p.upper_covers[v]:
+            h[w] = max(h[w], h[v] + 1)
+    return h
+
+
+def dict_moebius_to(p: FinitePoset, y: int) -> dict[int, int]:
+    """mu(x, y) for every x <= y by the recursion
+    mu(x, y) = -sum_{x < z <= y} mu(z, y), one Python sum per element in
+    decreasing height order.  The oracle of `FinitePoset._moebius_to`."""
+    leq = p.leq
+    below = np.flatnonzero(leq[:, y])
+    mu: dict[int, int] = {y: 1}
+    for x in sorted(below, key=lambda v: -int(p.height[v])):
+        if x != y:
+            mu[int(x)] = -sum(mu[z] for z in below if leq[x, z] and z != x)
+    return mu
+
+
 def moebius_table(p: FinitePoset) -> dict[tuple[int, int], int]:
     """mu(x, y) for every comparable pair, keyed by element positions."""
     return {(x, y): v for y in range(len(p.keys))
-            for x, v in p._moebius_to(y).items()}
+            for x, v in dict_moebius_to(p, y).items()}
 
 
 def unique_rising_chain(p: FinitePoset, labeling: EdgeLabeling) -> tuple[int, ...]:

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncpe import posets
 from ncpe.builders import build_nc, build_pe_dref, build_pi
 from ncpe.parking import build_pe_pchn
-from ncpe.posets import (FinitePoset, LatticeCheck, PosetError,
+from ncpe.posets import (FinitePoset, LatticeCheck, PosetError, _extremum_table,
                          _topological_order, _unique_extremum)
-from reference import (certify_supersolvable, from_leq_matrix,
-                       is_modular_pair, moebius_table, row_or_from_covers,
+from reference import (certify_supersolvable, dict_moebius_to, from_leq_matrix,
+                       is_modular_pair, loop_height, moebius_table,
+                       per_row_extremum_table, per_row_tables, row_or_from_covers,
                        sorted_topological_order, transitive_reduction)
 
 # pentagon: bottom < a < c < top, bottom < b < top
@@ -454,3 +456,90 @@ class TestLatticeOracle:
                     for z in range(len(p.keys))]
             assert [is_modular_pair(p, x, z) for z in range(len(p.keys))] == cols
             assert p.is_left_modular(x) == all(cols)
+
+
+PARTITION_POSETS = ([(f"nc{n}", lambda n=n: build_nc(n)) for n in range(1, 9)]
+                    + [(f"pe{n}", lambda n=n: build_pe_dref(n)) for n in range(3, 9)]
+                    + [(f"pe-pchn{n}", lambda n=n: build_pe_pchn(n)) for n in range(3, 9)]
+                    + [(f"pi{n}", lambda n=n: build_pi(n)) for n in range(1, 7)])
+PCHN = [(f"pe-pchn{n}", lambda n=n: build_pe_pchn(n)) for n in range(3, 9)]
+
+
+def level_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    return (_extremum_table(p.leq, p.upper_covers, p.height),
+            _extremum_table(p.leq.T, p.lower_covers, -p.height))
+
+
+def assert_tables_match(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    fast, slow = level_tables(p), per_row_tables(p)
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return fast
+
+
+class TestLevelTables:
+    """Tables filled one height level at a time, least candidate by rank,
+    against the per-row recursion with its least-height search."""
+
+    @pytest.mark.parametrize("build", [b for _, b in PARTITION_POSETS],
+                             ids=[name for name, _ in PARTITION_POSETS])
+    def test_tables_match_per_row(self, build):
+        assert_tables_match(build())
+
+    @pytest.mark.parametrize("p, entry", [(BOWTIE, -1), (ABOVE_UNDEFINED, -2)],
+                             ids=["bowtie", "0xyczuv1"])
+    def test_non_lattice_entries(self, p, entry):
+        join, meet = assert_tables_match(p)
+        assert (join == entry).any() or (meet == entry).any()
+
+    @pytest.mark.parametrize("build", [b for _, b in PCHN], ids=[name for name, _ in PCHN])
+    def test_witness_matches_per_row(self, build, monkeypatch):
+        p = build()
+        fast = p.lattice_check()
+        monkeypatch.setattr(posets, "_extremum_table", lambda leq, covers, height:
+                            per_row_extremum_table(leq, covers,
+                                                   np.argsort(-height, kind="stable"), height))
+        slow = FinitePoset(p.keys, p.leq, p.covers).lattice_check()
+        assert (fast.is_lattice, fast.witness, fast.reason) == \
+            (slow.is_lattice, slow.witness, slow.reason)
+
+    @pytest.mark.parametrize("build", [lambda: build_pe_dref(6), lambda: build_pe_pchn(6)],
+                             ids=["pe6", "pe-pchn6"])
+    def test_one_row_blocks(self, build, monkeypatch):
+        monkeypatch.setattr(posets, "GATHER_LIMIT", 1)
+        join, meet = assert_tables_match(build())
+        assert (join >= -2).all() and (meet >= -2).all()
+
+    @pytest.mark.parametrize("build", [b for _, b in PARTITION_POSETS],
+                             ids=[name for name, _ in PARTITION_POSETS])
+    def test_height_matches_loop(self, build):
+        p = build()
+        assert np.array_equal(p.height, loop_height(p))
+
+
+class TestMoebiusOracle:
+    """One vector sum per element against the dict recursion."""
+
+    @staticmethod
+    def assert_moebius_matches(p: FinitePoset, ys) -> None:
+        for y in ys:
+            mu = p._moebius_to(y)
+            expected = dict_moebius_to(p, y)
+            assert {x: int(v) for x, v in enumerate(mu) if p.leq[x, y]} == expected
+            assert not mu[~p.leq[:, y]].any()
+
+    @pytest.mark.parametrize("build", [b for _, b in PARTITION_POSETS],
+                             ids=[name for name, _ in PARTITION_POSETS])
+    def test_matches_dict_recursion(self, build):
+        p = build()
+        # every upper endpoint where that is cheap, else the top
+        self.assert_moebius_matches(p, range(len(p.keys)) if len(p.keys) <= 60 else [p.top])
+
+    @pytest.mark.parametrize("build", [lambda: build_nc(6), lambda: build_pe_dref(6),
+                                       lambda: build_pi(5), lambda: divisors_poset(360)],
+                             ids=["nc6", "pe6", "pi5", "divisors360"])
+    def test_python_int_path(self, build, monkeypatch):
+        monkeypatch.setattr(posets, "MOEBIUS_INT64_BOUND", 4)
+        p = build()
+        assert p._moebius_to(p.top).dtype == object
+        self.assert_moebius_matches(p, [p.top])
