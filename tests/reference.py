@@ -1,10 +1,11 @@
 """Definitions that only the tests use: a poset from its relation matrix,
 the row-OR closure and sort-based topological order that `from_covers`
-once used, the full Moebius table of a poset, the unique rising maximal
-chain of an edge labeling, the EL check by one chain list per
-interval, the parking label by its block-set rule, and the chain
-family of the noncrossing lattice that defines the chain-defined order
-on PE.
+once used, the per-row join and meet tables, the height by one step per
+cover, the Moebius recursion by dicts and the full Moebius table of a
+poset, the unique rising maximal chain of an edge labeling, the EL check
+by one chain list per interval, the parking label by its block-set
+rule, and the chain family of the noncrossing lattice that defines the
+chain-defined order on PE.
 
 They also hold the checks of the paper's lemmas that no command runs:
 parking functions and chain words, the removed covers and their
