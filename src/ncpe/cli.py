@@ -156,18 +156,18 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
             "left-modularity needs a lattice; pe-pchn is not one for n>=5")
     poset = _build(target, n)
     verdicts: dict[str, object] = {}
-    tables = None
+    check = None
     if suite in ("lattice", "leftmod", "all"):
-        tables = poset.lattice_check()
-        verdicts["lattice"] = tables.is_lattice
-        if not tables.is_lattice and tables.witness is not None:
+        check = poset.lattice_check()
+        verdicts["lattice"] = check.is_lattice
+        if not check.is_lattice and check.witness is not None:
             verdicts["lattice_witness"] = {
-                "pair": [str(k) for k in tables.witness],
-                "reason": tables.reason,
+                "pair": [str(k) for k in check.witness],
+                "reason": check.reason,
             }
     if suite in ("graded", "all"):
         verdicts["graded"] = poset.is_graded()[0]
-    if suite in ("leftmod", "all") and target != "pe-pchn" and tables.is_lattice:
+    if suite in ("leftmod", "all") and target != "pe-pchn" and check.is_lattice:
         chain = [poset.index(x) for x in distinguished_chain(n)]
         verdicts["left_modular_chain"] = poset.is_left_modular_chain(chain)
     if suite in ("el", "sn-el", "all"):
@@ -312,9 +312,10 @@ def label(n: int, target: str, scheme: str, check_el: bool,
     started = time.monotonic()
     poset = _build(target, n)
     lam = _labeling(target, n, poset, scheme)
+    names = [str(k) for k in poset.keys]
     report: dict = {
         "command": "label", "target": target, "n": n, "scheme": scheme,
-        "labels": {f"{poset.keys[i]} -> {poset.keys[j]}": v
+        "labels": {f"{names[i]} -> {names[j]}": v
                    for (i, j), v in sorted(lam.labels.items())},
     }
     failed = False

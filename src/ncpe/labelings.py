@@ -77,21 +77,23 @@ def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence) -> EdgeLabel
     """Labeling induced by a left-modular maximal chain c_0 < ... < c_r:
     a cover (y, z) gets the least t with z <= y v c_t.
 
-    The label of every cover lies in [r].  On supersolvable lattices it
+    That predicate is monotone in t, since c_t <= c_(t+1) gives
+    y v c_t <= y v c_(t+1), and it holds at t = r, where c_r is the top.
+    So it fails for t below the label and holds from it on, and the
+    label lies in [r]: with one join row per chain element, it is the
+    first t at which the predicate holds.  On supersolvable lattices it
     equals the meet form, the least t with c_t ^ z not below y; the
     tests check that.
     """
-    tables = poset.lattice_check()
-    if not tables.is_lattice:
+    if not poset.lattice_check().is_lattice:
         raise LabelingError("left-modular labeling requires a lattice")
     chain = [poset.index(k) for k in chain_keys]
     if not poset.is_left_modular_chain(chain):
         raise LabelingError("chain is not left-modular")
-    join, leq = tables.join, poset.leq
-    labels = {(y, z): next(t for t in range(len(chain))
-                           if leq[z, join[y, chain[t]]])
-              for y, z in poset.covers}
-    return EdgeLabeling(poset, labels)
+    lower, upper = np.array(poset.covers, dtype=np.int64).reshape(-1, 2).T
+    joins = np.array([poset.join_row(c) for c in chain])  # joins[t, y] = y v c_t
+    labels = poset.leq[upper, joins[:, lower]].argmax(axis=0)
+    return EdgeLabeling(poset, dict(zip(poset.covers, labels.tolist())))
 
 
 def parking_label(x: SetPartition, y: SetPartition) -> int:

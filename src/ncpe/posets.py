@@ -6,13 +6,14 @@ as an adjacency list (the transitive reduction).  `from_covers` closes
 the covers on Python-int bitsets, dropping each row once it is unpacked
 and its lower covers have read it.
 
-The join table is built by the cover recursion, one height level at a
-time: row x reads only the rows of its upper covers, which are strictly
-higher, so a whole level is filled by one gather per block of rows.  Of
-the candidates join(c, y) over the covers c of x, a least one lies
-strictly below all the others, so it is the one of least rank when the
-elements are ranked by (height, index); one order check confirms it.
-The meet table is the same construction on the dual.
+Lattice questions are answered on up-sets and down-sets as Python ints,
+closed over the covers on first use, with one bit per element placed by
+its (height, index) rank.  A join is the member of least rank of the
+two up-sets' intersection, if that element lies below the whole set,
+and a meet the member of greatest rank of the down-sets'.  No join or
+meet table is built: the lattice verdict joins only pairs of upper
+covers of a common element, left-modularity needs one join row and one
+meet row, and the left-modular labeling one join row per chain element.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 
-# entries of one (rows, covers, elements) gather in _extremum_table
-GATHER_LIMIT = 1 << 20
 # _moebius_to keeps int64 values while their absolute sum stays below this
 MOEBIUS_INT64_BOUND = 1 << 62
 
@@ -39,12 +39,11 @@ class PosetError(ValueError):
 
 @dataclass
 class LatticeCheck:
-    """Outcome of the lattice test; meet/join tables on success, a
-    witness pair without unique meet or join otherwise."""
+    """Outcome of the lattice test; on failure, the first pair in
+    row-major index order without a unique join or, failing that, a
+    unique meet, and which of the two it lacks."""
 
     is_lattice: bool
-    meet: np.ndarray | None = None
-    join: np.ndarray | None = None
     witness: tuple[Hashable, Hashable] | None = None
     reason: str = ""
 
@@ -130,15 +129,6 @@ class FinitePoset:
         out: list[list[int]] = [[] for _ in self.keys]
         for i, j in self.covers:
             out[i].append(j)
-        for lst in out:
-            lst.sort()
-        return out
-
-    @cached_property
-    def lower_covers(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.keys]
-        for i, j in self.covers:
-            out[j].append(i)
         for lst in out:
             lst.sort()
         return out
@@ -281,46 +271,108 @@ class FinitePoset:
 
     # -- lattice structure ---------------------------------------------------
 
+    @cached_property
+    def _bitsets(self) -> tuple[list[int], list[int], list[int]]:
+        """The elements in rank order, by (height, index), and per element
+        its up-set and its down-set as ints.  Height rises along every
+        cover, so rank order is a linear extension: a set's least
+        element, if it has one, ranks first, and its greatest element
+        last.  Down-sets give the element of rank r bit r, and up-sets bit
+        N - 1 - r, so that in both the extremum sought is the highest set
+        bit, which `int.bit_length` finds without reading the others.
+
+        Both are closed over the covers, as `from_covers` closes its
+        rows: an up-set is the element and the up-sets of its upper
+        covers, filled from the highest rank down, and each down-set is
+        ORed into the down-sets of its upper covers from the lowest rank
+        up."""
+        by_rank = np.argsort(self.height, kind="stable").tolist()
+        n = len(by_rank)
+        up, down = [0] * n, [0] * n
+        for r, x in enumerate(by_rank):
+            up[x], down[x] = 1 << (n - 1 - r), 1 << r
+        covers = self.upper_covers
+        for x in reversed(by_rank):
+            row = up[x]
+            for c in covers[x]:
+                row |= up[c]
+            up[x] = row
+        for x in by_rank:
+            row = down[x]
+            for c in covers[x]:
+                down[c] |= row
+        return by_rank, up, down
+
     def lattice_check(self) -> LatticeCheck:
         """Test whether every pair has a unique least upper bound and
-        greatest lower bound; returns meet/join tables on success.
-        Computed once per poset."""
+        greatest lower bound.  Computed once per poset.
+
+        A bounded poset is decided by the lemma of Björner, Edelman and
+        Ziegler ("Hyperplane arrangements with a lattice of regions",
+        Discrete Comput. Geom. 5 (1990), Lemma 2.1): a finite bounded
+        poset in which any two elements covering a common element have a
+        join is a lattice.  So only the pairs of upper covers of each
+        element are joined.  Proof: suppose some pair has no join, and
+        among the common lower bounds of all such pairs take a maximal
+        one, z, of a pair x, y.  Then z < x, y; pick covers z < x' <= x
+        and z < y' <= y.  x' = y' would be a common lower bound of x, y
+        above z, so x' != y' and w = x' v y' exists.  x and w have the
+        common lower bound x' > z, so by the choice of z they have a
+        join u; u and y have y' > z, so they have a join v.  Every upper
+        bound of x and y lies above x' and y', so above w, u and v: v is
+        the join of x and y, a contradiction.  So every pair has a join,
+        and the meet of x and y is the join of their lower bounds, a set
+        that holds the bottom.
+
+        When the lemma fails, or the poset is unbounded, the pairs
+        (i, j > i) are scanned in row-major index order, the join before
+        the meet, and the first that lacks one is the witness."""
         return self._lattice
 
     @cached_property
     def _lattice(self) -> LatticeCheck:
-        leq, h = self.leq, self.height
-        join = _extremum_table(leq, self.upper_covers, h)
-        meet = _extremum_table(leq.T, self.lower_covers, -h)
-        if (join >= 0).all() and (meet >= 0).all():
-            return LatticeCheck(True, meet=meet, join=join)
-        # the first failing pair (i, j >= i) in row-major order, join
-        # before meet; an undecided entry is settled by the definition
-        for i, j in zip(*np.nonzero(np.triu((join < 0) | (meet < 0)))):
-            if join[i, j] == -1 or (join[i, j] == -2 and _unique_extremum(
-                    leq[i] & leq[j], h, leq, least=True) is None):
-                reason = "no unique join"
-            elif meet[i, j] == -1 or (meet[i, j] == -2 and _unique_extremum(
-                    leq[:, i] & leq[:, j], h, leq, least=False) is None):
-                reason = "no unique meet"
-            else:
-                continue
-            return LatticeCheck(False, witness=(self.keys[i], self.keys[j]),
-                                reason=reason)
-        raise AssertionError("negative table entry without a failing pair")
+        by_rank, up, down = self._bitsets
+        if self.bottom is not None and self.top is not None and all(
+                _has_least(up[a] & up[b], up, by_rank)
+                for covers in self.upper_covers for a, b in combinations(covers, 2)):
+            return LatticeCheck(True)
+        for i, (up_i, down_i) in enumerate(zip(up, down)):
+            for j in range(i + 1, len(up)):
+                if not _has_least(up_i & up[j], up, by_rank):
+                    reason = "no unique join"
+                elif not _has_greatest(down_i & down[j], down, by_rank):
+                    reason = "no unique meet"
+                else:
+                    continue
+                return LatticeCheck(False, witness=(self.keys[i], self.keys[j]),
+                                    reason=reason)
+        return LatticeCheck(True)  # no pair fails: the empty poset
 
-    def _modular_columns(self, x: int) -> np.ndarray:
-        """Per z, whether xMz: (y v x) ^ z == y v (x ^ z) for every y <= z."""
-        tables = self._lattice
-        if not tables.is_lattice:
-            raise PosetError("modular pairs are defined only in lattices")
-        join, meet = tables.join, tables.meet
-        lhs = meet[join[:, x][:, None], np.arange(len(self.keys))]
-        rhs = join[:, meet[x, :]]
-        return ((lhs == rhs) | ~self.leq).all(axis=0)
+    def join_row(self, x: int) -> list[int]:
+        """x v y for every element y, in a lattice: the member of least
+        rank of their common up-set."""
+        by_rank, up, _ = self._bitsets
+        return [by_rank[len(up) - s.bit_length()] for s in map(up[x].__and__, up)]
 
     def is_left_modular(self, x: int) -> bool:
-        return bool(self._modular_columns(x).all())
+        """Whether (y v x) ^ z == y v (x ^ z) for every y <= z.
+
+        By covers: x is left-modular iff no cover a < b has x v a = x v b
+        and x ^ a = x ^ b.  Such a cover breaks the identity at y = a,
+        z = b: (a v x) ^ b = (b v x) ^ b = b, but a v (x ^ b) =
+        a v (x ^ a) = a.  Conversely, if it fails at y <= z, then
+        a' = y v (x ^ z) < b' = (y v x) ^ z, since a' <= b' always holds.
+        Both have join x v y with x (x v a' = x v y, and x v b' lies
+        between it and x v y v x) and meet x ^ z with x (x ^ b' = x ^ z,
+        and x ^ a' lies between x ^ z and it).  Since v x and ^ x are
+        monotone, every element of a saturated a'-b' chain has the same
+        join and meet with x, and its first cover is such a cover."""
+        if not self._lattice.is_lattice:
+            raise PosetError("left-modularity is defined only in lattices")
+        _, _, down = self._bitsets
+        join = self.join_row(x)
+        meet = [s.bit_length() for s in map(down[x].__and__, down)]  # rank + 1
+        return not any(join[a] == join[b] and meet[a] == meet[b] for a, b in self.covers)
 
     def is_left_modular_chain(self, chain: Sequence[int]) -> bool:
         """True iff the (maximal) chain consists of left-modular elements."""
@@ -368,77 +420,16 @@ class _CoversBelow(dict):
         return ws
 
 
-def _extremum_table(leq: np.ndarray, covers: list[list[int]],
-                    height: np.ndarray) -> np.ndarray:
-    """Join table by the cover recursion (the meet table is the same call
-    on the dual: leq.T, lower covers and -height).
-
-    For y incomparable to x every upper bound of x and y lies above some
-    upper cover c of x, so join(x, y) is the least of the join(c, y), if
-    one of them lies below all the others, and no join exists otherwise
-    (-1).  When some join(c, y) is itself undefined the entry is
-    undecided (-2): join(x, y) may still exist.
-
-    Row x reads only the rows of its upper covers, which are strictly
-    higher, so all rows of one height are filled together, from the
-    greatest height down.  The rows of a level are batched by their
-    number of covers, so that one gather of (rows, covers, elements)
-    needs no padding, and a batch is cut into blocks whose gather holds
-    at most GATHER_LIMIT entries, or one row where a row alone holds more.
-
-    A least candidate lies strictly below every other one, so it is the
-    unique candidate of least height.  The elements are ranked once by
-    (height, index), and the candidate of least rank is the only one
-    that can be least; the check that it lies below all the others
-    decides between it and -1.
-    """
-    n = leq.shape[0]
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    table = np.empty((n, n), dtype=dtype)
-    ids = np.arange(n, dtype=dtype)
-    by_rank = np.argsort(height, kind="stable").astype(dtype)
-    rank = np.full(n + 2, -1, dtype=dtype)  # entries -2 and -1 rank -1
-    rank[by_rank] = ids
-    levels = np.split(by_rank, np.flatnonzero(np.diff(height[by_rank])) + 1)
-    for level in reversed(levels):
-        by_width: dict[int, list[int]] = {}
-        for x in level.tolist():
-            by_width.setdefault(len(covers[x]), []).append(x)
-        for width, batch in by_width.items():
-            step = max(1, GATHER_LIMIT // (n * max(width, 1)))
-            for start in range(0, len(batch), step):
-                block = batch[start:start + step]
-                # y above x gives y, y below x gives x, -1 off the cone
-                rows = np.where(leq[block], ids, np.where(
-                    leq[:, block].T, np.array(block, dtype=dtype)[:, None], -1))
-                if width:  # a maximal x keeps -1 off its cone
-                    cand = table[[covers[x] for x in block]]
-                    least_rank = rank[cand].min(axis=1)  # -1: some candidate undefined
-                    best = by_rank[least_rank]
-                    least = leq[best[:, None, :], cand].all(axis=1)
-                    rows = np.where(rows >= 0, rows, np.where(
-                        least_rank < 0, -2, np.where(least, best, -1)))
-                table[block] = rows
-    return table
+def _has_least(members: int, up: list[int], by_rank: list[int]) -> bool:
+    """Whether a set, as an up-set bitset, is nonempty and lies above its
+    member of least rank, its highest bit."""
+    return members != 0 and members & up[by_rank[len(up) - members.bit_length()]] == members
 
 
-def _unique_extremum(mask: np.ndarray, height: np.ndarray,
-                     leq: np.ndarray, least: bool) -> int | None:
-    """Unique minimum (least=True) or maximum of the masked subset, or
-    None.  A least element, if present, is the unique member of minimal
-    height within the subset."""
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return None
-    hs = height[idx]
-    cand = idx[hs == (hs.min() if least else hs.max())]
-    if len(cand) != 1:
-        return None
-    z = int(cand[0])
-    row = leq[z] if least else leq[:, z]
-    if not np.all(row[idx]):
-        return None
-    return z
+def _has_greatest(members: int, down: list[int], by_rank: list[int]) -> bool:
+    """Whether a set, as a down-set bitset, is nonempty and lies below
+    its member of greatest rank, its highest bit."""
+    return members != 0 and members & down[by_rank[members.bit_length() - 1]] == members
 
 
 def _topological_order(n: int, up: list[list[int]], indeg: list[int]) -> list[int]:

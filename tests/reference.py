@@ -1,7 +1,6 @@
 """Definitions that only the tests use: a poset from its relation matrix,
 the row-OR closure and sort-based topological order that `from_covers`
-once used, the per-row join and meet tables, the height by one step per
-cover, the Moebius recursion by dicts and the full Moebius table of a
+once used, the height by one step per cover, the Moebius recursion by dicts and the full Moebius table of a
 poset, the unique rising maximal chain of an edge labeling, the EL check
 by one chain list per interval, the parking label by its block-set
 rule, and the chain family of the noncrossing lattice that defines the
@@ -14,12 +13,17 @@ PE meet, modular pairs and supersolvability, the split of a base tree
 at its root edge, the iterated join of an atom set, and the meet form
 of the left-modular labeling.
 
+The join and meet tables, filled one height level at a time and one
+row at a time, with the lattice test, modular pairs and the labels read
+off them, are the oracles of the lattice verdict by the BEZ lemma, the
+witness scan, left-modularity by covers and the labels by join rows.
 The join, noncrossing closure and PE join that relabel through
 `_from_labels` are the oracles of the code-level kernels in `src`, and
 the per-member cover loop and the sort by blocks are the oracles of the
 vectorised cover search and of the order in which the noncrossing
 enumeration generates its partitions."""
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -127,6 +131,14 @@ def row_or_from_covers(keys: Sequence[Hashable],
     return FinitePoset(keys, leq, covers)
 
 
+def lower_covers(p: FinitePoset) -> list[list[int]]:
+    """The lower covers of each element, in increasing order."""
+    out: list[list[int]] = [[] for _ in p.keys]
+    for i, j in sorted(p.covers):
+        out[j].append(i)
+    return out
+
+
 def per_row_extremum_table(leq: np.ndarray, covers: list[list[int]],
                            order: Iterable[int], height: np.ndarray) -> np.ndarray:
     """Join table by the cover recursion, one numpy step per row, in an
@@ -158,9 +170,9 @@ def per_row_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     """The join and meet tables (with their -1 and -2 entries) by
     `per_row_extremum_table` over the heap topological order."""
     n, h = len(p.keys), p.height
-    topo = _topological_order(n, p.upper_covers, [len(c) for c in p.lower_covers])
+    topo = _topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)])
     return (per_row_extremum_table(p.leq, p.upper_covers, reversed(topo), h),
-            per_row_extremum_table(p.leq.T, p.lower_covers, topo, -h))
+            per_row_extremum_table(p.leq.T, lower_covers(p), topo, -h))
 
 
 def loop_height(p: FinitePoset) -> np.ndarray:
@@ -169,7 +181,7 @@ def loop_height(p: FinitePoset) -> np.ndarray:
     `FinitePoset.height`, which relaxes all covers at once per round."""
     n = len(p.keys)
     h = np.zeros(n, dtype=np.int64)
-    for v in _topological_order(n, p.upper_covers, [len(c) for c in p.lower_covers]):
+    for v in _topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)]):
         for w in p.upper_covers[v]:
             h[w] = max(h[w], h[v] + 1)
     return h
@@ -496,7 +508,7 @@ def pe_meet(x: SetPartition, y: SetPartition) -> SetPartition:
 
 def is_modular_pair(p: FinitePoset, x: int, z: int) -> bool:
     """xMz: (y v x) ^ z == y v (x ^ z) for every y <= z."""
-    return bool(p._modular_columns(x)[z])
+    return bool(modular_columns(p, x)[z])
 
 
 def certify_supersolvable(p: FinitePoset, chain: Sequence[int]) -> bool:
@@ -513,11 +525,167 @@ def meet_form_labels(p: FinitePoset,
                      chain_keys: Sequence) -> dict[tuple[int, int], int]:
     """The left-modular labeling by its meet form: a cover (y, z) gets
     the least t with c_t ^ z not below y."""
-    tables = p.lattice_check()
+    tables = lattice_tables(p)
     chain = [p.index(k) for k in chain_keys]
     return {(y, z): next(t for t in range(len(chain))
                          if not p.leq[tables.meet[chain[t], z], y])
             for y, z in p.covers}
+
+
+def join_table_labels(p: FinitePoset,
+                      chain_keys: Sequence) -> dict[tuple[int, int], int]:
+    """The left-modular labeling by its join form, read off the join
+    table one t at a time: a cover (y, z) gets the least t with
+    z <= y v c_t.  The oracle of `left_modular_labeling`."""
+    tables = lattice_tables(p)
+    chain = [p.index(k) for k in chain_keys]
+    return {(y, z): next(t for t in range(len(chain))
+                         if p.leq[z, tables.join[y, chain[t]]])
+            for y, z in p.covers}
+
+
+# -- join and meet tables ---------------------------------------------------
+
+# entries of one (rows, covers, elements) gather in _extremum_table
+GATHER_LIMIT = 1 << 20
+
+
+@dataclass
+class LatticeTables:
+    """Outcome of the lattice test by tables: the meet and join tables
+    on success, a witness pair without unique meet or join otherwise."""
+
+    is_lattice: bool
+    meet: np.ndarray | None = None
+    join: np.ndarray | None = None
+    witness: tuple[Hashable, Hashable] | None = None
+    reason: str = ""
+
+
+_TABLES: "weakref.WeakKeyDictionary[FinitePoset, LatticeTables]" = \
+    weakref.WeakKeyDictionary()
+
+
+def lattice_tables(p: FinitePoset) -> LatticeTables:
+    """The lattice test as `FinitePoset.lattice_check` once made it, from
+    the full join and meet tables (computed once per poset).  The oracle
+    of the verdict by the BEZ lemma and of the row-major bitset scan for
+    the witness."""
+    if p not in _TABLES:
+        _TABLES[p] = _lattice_tables(p)
+    return _TABLES[p]
+
+
+def _lattice_tables(p: FinitePoset) -> LatticeTables:
+    leq, h = p.leq, p.height
+    join = _extremum_table(leq, p.upper_covers, h)
+    meet = _extremum_table(leq.T, lower_covers(p), -h)
+    if (join >= 0).all() and (meet >= 0).all():
+        return LatticeTables(True, meet=meet, join=join)
+    # the first failing pair (i, j >= i) in row-major order, join
+    # before meet; an undecided entry is settled by the definition
+    for i, j in zip(*np.nonzero(np.triu((join < 0) | (meet < 0)))):
+        if join[i, j] == -1 or (join[i, j] == -2 and _unique_extremum(
+                leq[i] & leq[j], h, leq, least=True) is None):
+            reason = "no unique join"
+        elif meet[i, j] == -1 or (meet[i, j] == -2 and _unique_extremum(
+                leq[:, i] & leq[:, j], h, leq, least=False) is None):
+            reason = "no unique meet"
+        else:
+            continue
+        return LatticeTables(False, witness=(p.keys[i], p.keys[j]), reason=reason)
+    raise AssertionError("negative table entry without a failing pair")
+
+
+def modular_columns(p: FinitePoset, x: int,
+                    pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Per z, whether xMz: (y v x) ^ z == y v (x ^ z) for every y <= z,
+    from the tables, over the comparable pairs (y, z), which callers that
+    ask about many x pass as `np.nonzero(p.leq)`.  Left-modularity of x
+    is the conjunction; the oracle of the cover criterion of
+    `FinitePoset.is_left_modular`."""
+    tables = lattice_tables(p)
+    if not tables.is_lattice:
+        raise PosetError("modular pairs are defined only in lattices")
+    join, meet = tables.join, tables.meet
+    ys, zs = np.nonzero(p.leq) if pairs is None else pairs
+    broken = meet[join[x, ys], zs] != join[ys, meet[x, zs]]
+    columns = np.ones(len(p.keys), dtype=bool)
+    columns[zs[broken]] = False
+    return columns
+
+
+def _extremum_table(leq: np.ndarray, covers: list[list[int]],
+                    height: np.ndarray) -> np.ndarray:
+    """Join table by the cover recursion (the meet table is the same call
+    on the dual: leq.T, lower covers and -height).
+
+    For y incomparable to x every upper bound of x and y lies above some
+    upper cover c of x, so join(x, y) is the least of the join(c, y), if
+    one of them lies below all the others, and no join exists otherwise
+    (-1).  When some join(c, y) is itself undefined the entry is
+    undecided (-2): join(x, y) may still exist.
+
+    Row x reads only the rows of its upper covers, which are strictly
+    higher, so all rows of one height are filled together, from the
+    greatest height down.  The rows of a level are batched by their
+    number of covers, so that one gather of (rows, covers, elements)
+    needs no padding, and a batch is cut into blocks whose gather holds
+    at most GATHER_LIMIT entries, or one row where a row alone holds more.
+
+    A least candidate lies strictly below every other one, so it is the
+    unique candidate of least height.  The elements are ranked once by
+    (height, index), and the candidate of least rank is the only one
+    that can be least; the check that it lies below all the others
+    decides between it and -1.
+    """
+    n = leq.shape[0]
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    table = np.empty((n, n), dtype=dtype)
+    ids = np.arange(n, dtype=dtype)
+    by_rank = np.argsort(height, kind="stable").astype(dtype)
+    rank = np.full(n + 2, -1, dtype=dtype)  # entries -2 and -1 rank -1
+    rank[by_rank] = ids
+    levels = np.split(by_rank, np.flatnonzero(np.diff(height[by_rank])) + 1)
+    for level in reversed(levels):
+        by_width: dict[int, list[int]] = {}
+        for x in level.tolist():
+            by_width.setdefault(len(covers[x]), []).append(x)
+        for width, batch in by_width.items():
+            step = max(1, GATHER_LIMIT // (n * max(width, 1)))
+            for start in range(0, len(batch), step):
+                block = batch[start:start + step]
+                # y above x gives y, y below x gives x, -1 off the cone
+                rows = np.where(leq[block], ids, np.where(
+                    leq[:, block].T, np.array(block, dtype=dtype)[:, None], -1))
+                if width:  # a maximal x keeps -1 off its cone
+                    cand = table[[covers[x] for x in block]]
+                    least_rank = rank[cand].min(axis=1)  # -1: some candidate undefined
+                    best = by_rank[least_rank]
+                    least = leq[best[:, None, :], cand].all(axis=1)
+                    rows = np.where(rows >= 0, rows, np.where(
+                        least_rank < 0, -2, np.where(least, best, -1)))
+                table[block] = rows
+    return table
+
+
+def _unique_extremum(mask: np.ndarray, height: np.ndarray,
+                     leq: np.ndarray, least: bool) -> int | None:
+    """Unique minimum (least=True) or maximum of the masked subset, or
+    None.  A least element, if present, is the unique member of minimal
+    height within the subset."""
+    idx = np.flatnonzero(mask)
+    if len(idx) == 0:
+        return None
+    hs = height[idx]
+    cand = idx[hs == (hs.min() if least else hs.max())]
+    if len(cand) != 1:
+        return None
+    z = int(cand[0])
+    row = leq[z] if least else leq[:, z]
+    if not np.all(row[idx]):
+        return None
+    return z
 
 
 # -- atoms and base trees ---------------------------------------------------

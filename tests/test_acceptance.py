@@ -17,8 +17,9 @@ from ncpe.nbb import (Atom, base_to_tree, classification_census,
                       enumerate_nbb_bases_top, moebius_via_nbb)
 from ncpe.parking import build_pe_pchn, count_D
 from reference import (chain_parking_word, from_leq_matrix,
-                       is_parking_function, iter_all_chains, moebius_table,
-                       pe_meet, unique_rising_chain, verify_restriction_el)
+                       is_parking_function, iter_all_chains, lattice_tables,
+                       moebius_table, pe_meet, unique_rising_chain,
+                       verify_restriction_el)
 
 
 def _verdict(num: int, name: str, ok: bool, elapsed: float) -> None:
@@ -143,7 +144,8 @@ def test_criterion_8_property_suites():
     # lattice axioms on the PE tables, exhaustively for n <= 5
     for n in (4, 5):
         p = build_pe_dref(n)
-        t = p.lattice_check()
+        ok = ok and p.lattice_check().is_lattice
+        t = lattice_tables(p)
         size = len(p.keys)
         for i in range(size):
             for j in range(size):
@@ -170,14 +172,14 @@ def test_criterion_8_property_suites():
     # blockwise PE meet/join vs induced tables (exhaustive n <= 6)
     for n in range(3, 7):
         p = build_pe_dref(n)
-        t = p.lattice_check()
+        t = lattice_tables(p)
         for i, x in enumerate(p.keys):
             for j, y in enumerate(p.keys):
                 ok = ok and pe_meet(x, y) == p.keys[t.meet[i, j]]
                 ok = ok and pe_join(x, y) == p.keys[t.join[i, j]]
     # randomized pairs at n = 7 against the real tables
     p = build_pe_dref(7)
-    t = p.lattice_check()
+    t = lattice_tables(p)
     rng = random.Random(2026)
     size = len(p.keys)
     for _ in range(500):

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from ncpe import posets
-from ncpe.builders import build_nc, build_pe_dref, build_pi
+from ncpe.builders import build_nc, build_pe_dref, build_pi, distinguished_chain
+from ncpe.labelings import left_modular_labeling
 from ncpe.parking import build_pe_pchn
-from ncpe.posets import (FinitePoset, LatticeCheck, PosetError, _extremum_table,
-                         _topological_order, _unique_extremum)
-from reference import (certify_supersolvable, dict_moebius_to, from_leq_matrix,
-                       is_modular_pair, loop_height, moebius_table,
+from ncpe.posets import FinitePoset, PosetError, _topological_order
+from reference import (LatticeTables, _extremum_table, _unique_extremum,
+                       certify_supersolvable, dict_moebius_to, from_leq_matrix,
+                       is_modular_pair, join_table_labels, lattice_tables, loop_height,
+                       lower_covers, modular_columns, moebius_table,
                        per_row_extremum_table, per_row_tables, row_or_from_covers,
                        sorted_topological_order, transitive_reduction)
 
@@ -30,6 +33,7 @@ M3 = FinitePoset.from_covers(
     [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 CHAIN3 = FinitePoset.from_covers([0, 1, 2], [(0, 1), (1, 2)])
+CHAIN3_ONE = FinitePoset.from_covers(["0"], [])
 
 # two atoms below two coatoms: a and b have no unique join
 BOWTIE = FinitePoset.from_covers(
@@ -51,7 +55,7 @@ def from_json(text: str) -> FinitePoset:
                                    [tuple(p) for p in data["covers"]])
 
 
-def pairwise_lattice(p: FinitePoset) -> LatticeCheck:
+def pairwise_lattice(p: FinitePoset) -> LatticeTables:
     """The lattice test by definition: for every pair (i, j >= i) in
     row-major order, the unique least upper bound, then the unique
     greatest lower bound; the first pair without one is the witness."""
@@ -63,15 +67,15 @@ def pairwise_lattice(p: FinitePoset) -> LatticeCheck:
         for j in range(i, n):
             z = _unique_extremum(leq[i] & leq[j], h, leq, least=True)
             if z is None:
-                return LatticeCheck(False, witness=(p.keys[i], p.keys[j]),
-                                    reason="no unique join")
+                return LatticeTables(False, witness=(p.keys[i], p.keys[j]),
+                                     reason="no unique join")
             join[i, j] = join[j, i] = z
             z = _unique_extremum(leq[:, i] & leq[:, j], h, leq, least=False)
             if z is None:
-                return LatticeCheck(False, witness=(p.keys[i], p.keys[j]),
-                                    reason="no unique meet")
+                return LatticeTables(False, witness=(p.keys[i], p.keys[j]),
+                                     reason="no unique meet")
             meet[i, j] = meet[j, i] = z
-    return LatticeCheck(True, meet=meet, join=join)
+    return LatticeTables(True, meet=meet, join=join)
 
 
 def from_order_oracle(keys, leq_fn) -> FinitePoset:
@@ -213,7 +217,7 @@ class TestBitsetClosure:
     def test_heap_topological_order(self, build):
         p = build()
         n = len(p.keys)
-        indeg = [len(lc) for lc in p.lower_covers]
+        indeg = [len(lc) for lc in lower_covers(p)]
         assert _topological_order(n, p.upper_covers, indeg) == \
             sorted_topological_order(n, p.upper_covers, indeg)
 
@@ -378,9 +382,9 @@ class TestMoebius:
 
 class TestLatticeAndModularity:
     def test_pentagon_is_lattice(self):
-        check = N5.lattice_check()
-        assert check.is_lattice
-        assert check.join[1, 2] == 4 and check.meet[1, 2] == 0
+        assert N5.lattice_check().is_lattice
+        tables = lattice_tables(N5)
+        assert tables.join[1, 2] == 4 and tables.meet[1, 2] == 0
 
     def test_three_atoms_two_coatoms_not_lattice(self):
         check = BOWTIE.lattice_check()
@@ -407,10 +411,12 @@ class TestLatticeAndModularity:
     def test_modular_pair_requires_lattice(self):
         with pytest.raises(PosetError):
             is_modular_pair(BOWTIE, BOWTIE.index("a"), BOWTIE.index("x"))
+        with pytest.raises(PosetError):
+            BOWTIE.is_left_modular(BOWTIE.index("a"))
 
 
 class TestLatticeOracle:
-    """The cover recursion against the pairwise definition."""
+    """The table oracle's cover recursion against the pairwise definition."""
 
     LATTICES = ([(f"nc{n}", lambda n=n: build_nc(n)) for n in range(1, 8)]
                 + [(f"pe{n}", lambda n=n: build_pe_dref(n)) for n in range(3, 8)]
@@ -426,17 +432,19 @@ class TestLatticeOracle:
                              ids=[name for name, _ in LATTICES])
     def test_tables_match(self, build):
         p = build()
-        fast, slow = p.lattice_check(), pairwise_lattice(p)
+        fast, slow = lattice_tables(p), pairwise_lattice(p)
+        assert p.lattice_check().is_lattice
         assert fast.is_lattice and slow.is_lattice
         assert fast.join.dtype == fast.meet.dtype == np.int16
         assert np.array_equal(fast.join, slow.join)
         assert np.array_equal(fast.meet, slow.meet)
+        assert [p.join_row(x) for x in range(len(p.keys))] == slow.join.tolist()
 
     @pytest.mark.parametrize("build", [b for _, b in NON_LATTICES],
                              ids=[name for name, _ in NON_LATTICES])
     def test_witness_matches(self, build):
         p = build()
-        fast, slow = p.lattice_check(), pairwise_lattice(p)
+        fast, slow = lattice_tables(p), pairwise_lattice(p)
         assert not fast.is_lattice and fast.meet is None and fast.join is None
         assert (fast.witness, fast.reason) == (slow.witness, slow.reason)
 
@@ -467,7 +475,7 @@ PCHN = [(f"pe-pchn{n}", lambda n=n: build_pe_pchn(n)) for n in range(3, 9)]
 
 def level_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     return (_extremum_table(p.leq, p.upper_covers, p.height),
-            _extremum_table(p.leq.T, p.lower_covers, -p.height))
+            _extremum_table(p.leq.T, lower_covers(p), -p.height))
 
 
 def assert_tables_match(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
@@ -495,18 +503,18 @@ class TestLevelTables:
     @pytest.mark.parametrize("build", [b for _, b in PCHN], ids=[name for name, _ in PCHN])
     def test_witness_matches_per_row(self, build, monkeypatch):
         p = build()
-        fast = p.lattice_check()
-        monkeypatch.setattr(posets, "_extremum_table", lambda leq, covers, height:
+        fast = lattice_tables(p)
+        monkeypatch.setattr(reference, "_extremum_table", lambda leq, covers, height:
                             per_row_extremum_table(leq, covers,
                                                    np.argsort(-height, kind="stable"), height))
-        slow = FinitePoset(p.keys, p.leq, p.covers).lattice_check()
+        slow = lattice_tables(FinitePoset(p.keys, p.leq, p.covers))
         assert (fast.is_lattice, fast.witness, fast.reason) == \
             (slow.is_lattice, slow.witness, slow.reason)
 
     @pytest.mark.parametrize("build", [lambda: build_pe_dref(6), lambda: build_pe_pchn(6)],
                              ids=["pe6", "pe-pchn6"])
     def test_one_row_blocks(self, build, monkeypatch):
-        monkeypatch.setattr(posets, "GATHER_LIMIT", 1)
+        monkeypatch.setattr(reference, "GATHER_LIMIT", 1)
         join, meet = assert_tables_match(build())
         assert (join >= -2).all() and (meet >= -2).all()
 
@@ -515,6 +523,61 @@ class TestLevelTables:
     def test_height_matches_loop(self, build):
         p = build()
         assert np.array_equal(p.height, loop_height(p))
+
+
+EMPTY = FinitePoset.from_covers([], [])
+ANTICHAIN = FinitePoset.from_covers(list("abc"), [])
+VERDICT_POSETS = list({name: build for name, build in
+                       TestLatticeOracle.LATTICES + TestLatticeOracle.NON_LATTICES
+                       + PARTITION_POSETS
+                       + [("empty", lambda: EMPTY), ("one", lambda: CHAIN3_ONE),
+                          ("antichain", lambda: ANTICHAIN), ("N5", lambda: N5)]}.items())
+MODULAR_LATTICES = ([("N5", lambda: N5), ("M3", lambda: M3)]
+                    + [(f"divisors{m}", lambda m=m: divisors_poset(m)) for m in (60, 360)]
+                    + [(f"pi{n}", lambda n=n: build_pi(n)) for n in range(4, 7)]
+                    + [(f"nc{n}", lambda n=n: build_nc(n)) for n in range(5, 9)]
+                    + [(f"pe{n}", lambda n=n: build_pe_dref(n)) for n in range(5, 9)])
+LABELED = ([(f"nc{n}", n, lambda n=n: build_nc(n)) for n in range(3, 9)]
+           + [(f"pe{n}", n, lambda n=n: build_pe_dref(n)) for n in range(3, 9)])
+
+
+class TestBitsetLattice:
+    """The lattice verdict by the BEZ lemma with its row-major witness
+    scan, left-modularity by covers and the labels by join rows, against
+    the join and meet tables."""
+
+    @pytest.mark.parametrize("build", [b for _, b in VERDICT_POSETS],
+                             ids=[name for name, _ in VERDICT_POSETS])
+    def test_verdict_matches_tables(self, build):
+        p = build()
+        fast, slow = p.lattice_check(), lattice_tables(p)
+        assert (fast.is_lattice, fast.witness, fast.reason) == \
+            (slow.is_lattice, slow.witness, slow.reason)
+
+    def test_small_verdicts(self):
+        assert EMPTY.lattice_check().is_lattice
+        assert CHAIN3_ONE.lattice_check().is_lattice
+        check = ANTICHAIN.lattice_check()
+        assert (check.is_lattice, check.witness, check.reason) == \
+            (False, ("a", "b"), "no unique join")
+
+    @pytest.mark.parametrize("build", [b for _, b in MODULAR_LATTICES],
+                             ids=[name for name, _ in MODULAR_LATTICES])
+    def test_left_modular_matches_tables(self, build):
+        p = build()
+        fast = [p.is_left_modular(x) for x in range(len(p.keys))]
+        pairs = np.nonzero(p.leq)
+        assert fast == [bool(modular_columns(p, x, pairs).all())
+                        for x in range(len(p.keys))]
+        if p is N5:  # c is left-modular, though c v a = c v c for the cover a < c
+            assert fast[N5.index("c")] and not fast[N5.index("b")]
+
+    @pytest.mark.parametrize("n, build", [(n, b) for _, n, b in LABELED],
+                             ids=[name for name, _, _ in LABELED])
+    def test_labels_match_join_table(self, n, build):
+        p = build()
+        assert left_modular_labeling(p, distinguished_chain(n)).labels == \
+            join_table_labels(p, distinguished_chain(n))
 
 
 class TestMoebiusOracle:
