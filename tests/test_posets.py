@@ -33,7 +33,6 @@ M3 = FinitePoset.from_covers(
     [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 CHAIN3 = FinitePoset.from_covers([0, 1, 2], [(0, 1), (1, 2)])
-CHAIN3_ONE = FinitePoset.from_covers(["0"], [])
 
 # two atoms below two coatoms: a and b have no unique join
 BOWTIE = FinitePoset.from_covers(
@@ -526,12 +525,13 @@ class TestLevelTables:
 
 
 EMPTY = FinitePoset.from_covers([], [])
+ONE = FinitePoset.from_covers(["0"], [])
 ANTICHAIN = FinitePoset.from_covers(list("abc"), [])
 VERDICT_POSETS = list({name: build for name, build in
                        TestLatticeOracle.LATTICES + TestLatticeOracle.NON_LATTICES
                        + PARTITION_POSETS
-                       + [("empty", lambda: EMPTY), ("one", lambda: CHAIN3_ONE),
-                          ("antichain", lambda: ANTICHAIN), ("N5", lambda: N5)]}.items())
+                       + [("empty", lambda: EMPTY), ("one", lambda: ONE),
+                          ("antichain", lambda: ANTICHAIN)]}.items())
 MODULAR_LATTICES = ([("N5", lambda: N5), ("M3", lambda: M3)]
                     + [(f"divisors{m}", lambda m=m: divisors_poset(m)) for m in (60, 360)]
                     + [(f"pi{n}", lambda n=n: build_pi(n)) for n in range(4, 7)]
@@ -556,7 +556,7 @@ class TestBitsetLattice:
 
     def test_small_verdicts(self):
         assert EMPTY.lattice_check().is_lattice
-        assert CHAIN3_ONE.lattice_check().is_lattice
+        assert ONE.lattice_check().is_lattice
         check = ANTICHAIN.lattice_check()
         assert (check.is_lattice, check.witness, check.reason) == \
             (False, ("a", "b"), "no unique join")
@@ -569,8 +569,6 @@ class TestBitsetLattice:
         pairs = np.nonzero(p.leq)
         assert fast == [bool(modular_columns(p, x, pairs).all())
                         for x in range(len(p.keys))]
-        if p is N5:  # c is left-modular, though c v a = c v c for the cover a < c
-            assert fast[N5.index("c")] and not fast[N5.index("b")]
 
     @pytest.mark.parametrize("n, build", [(n, b) for _, n, b in LABELED],
                              ids=[name for name, _, _ in LABELED])
