@@ -9,6 +9,8 @@ byte-identical across runs; timing goes to stderr in human mode only.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import os
 import sys
@@ -29,6 +31,18 @@ from .partitions import PartitionError, parse_partition
 from .posets import FinitePoset
 
 TARGETS = ("pi", "nc", "pe-dref", "pe-pchn")
+
+# After the exit handlers, CPython collects every object still alive:
+# numpy's, click's and the posets'.  With this module imported that took
+# 0.04 s from the last exit handler to the process being reaped, against
+# 0.012 s for a bare interpreter, on a 2-vCPU Xeon; most jobs spend 0.1 s
+# or less on their work.  Freezing them into the permanent generation,
+# which no collection visits, cuts it to 0.01 s.  Exit codes, the other
+# exit handlers and the flush of stdout and stderr are untouched.
+# gc.disable() does not stop the final collection, and os._exit() would
+# skip the other handlers and the flush.  Registered here, not in the
+# package, so that importing the library alone leaves exit as it is.
+atexit.register(gc.freeze)
 
 
 def _build(target: str, n: int) -> FinitePoset:

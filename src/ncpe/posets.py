@@ -55,6 +55,7 @@ class FinitePoset:
         self.leq = leq
         self.covers = covers
         self._index = {k: i for i, k in enumerate(self.keys)}
+        self._left_modular: dict[int, bool] = {}  # is_left_modular, per element
         if len(self._index) != len(self.keys):
             raise PosetError("duplicate element keys")
 
@@ -375,10 +376,18 @@ class FinitePoset:
         return not any(join[a] == join[b] and meet[a] == meet[b] for a, b in self.covers)
 
     def is_left_modular_chain(self, chain: Sequence[int]) -> bool:
-        """True iff the (maximal) chain consists of left-modular elements."""
+        """True iff the (maximal) chain consists of left-modular elements.
+        Each element's verdict is kept, so the chain that `verify` checks
+        is not checked again by the left-modular labeling."""
         if not self._is_maximal_chain(chain):
             raise PosetError("chain is not maximal")
-        return all(self.is_left_modular(x) for x in chain)
+        known = self._left_modular
+        for x in chain:
+            if x not in known:
+                known[x] = self.is_left_modular(x)
+            if not known[x]:
+                return False
+        return True
 
     def _is_maximal_chain(self, chain: Sequence[int]) -> bool:
         bot, top = self._require_bounded()

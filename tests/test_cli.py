@@ -2,13 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ncpe
+from ncpe.builders import build_nc, distinguished_chain
 from ncpe.cli import _closed_form, main
+from ncpe.posets import FinitePoset
 from reference import build_D, chain_parking_word
 
 
@@ -100,6 +107,22 @@ class TestVerify:
         monkeypatch.setattr("ncpe.posets.FinitePoset._lattice", property(no_tables))
         code, report = run_json(runner, "verify", "-n", "5", "--suite", "graded")
         assert code == 0 and report["verdicts"] == {"graded": True}
+
+    def test_chain_checked_once(self, runner, monkeypatch):
+        """The left-modular labeling reuses the verdicts on the chain that
+        the leftmod suite has just checked."""
+        checked = []
+        is_left_modular = FinitePoset.is_left_modular
+
+        def counted(self, x):
+            checked.append(x)
+            return is_left_modular(self, x)
+
+        monkeypatch.setattr(FinitePoset, "is_left_modular", counted)
+        code, report = run_json(runner, "verify", "-n", "6")
+        assert code == 0
+        assert report["verdicts"]["left_modular_chain"] and report["verdicts"]["el"]
+        assert len(checked) == len(set(checked)) == len(distinguished_chain(6))
 
     def test_leftmod_on_pchn_rejected(self, runner, monkeypatch):
         def no_build(target, n):
@@ -341,3 +364,55 @@ class TestDeterminism:
     def test_human_mode_timing_on_stderr_only(self, runner):
         result = runner.invoke(main, ["build", "nc", "-n", "3"])
         assert "elapsed" not in result.stdout or result.stderr_bytes is None
+
+
+# a fresh interpreter's environment, importing this copy of the package
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(ncpe.__file__).resolve().parents[1])}
+
+
+def run_process(args, cwd):
+    """`python -m ncpe.cli ARGS` in a fresh interpreter, so that it goes
+    through interpreter shutdown, which CliRunner never does."""
+    return subprocess.run([sys.executable, "-m", "ncpe.cli", *args], cwd=cwd,
+                          env=CHILD_ENV, capture_output=True, timeout=120)
+
+
+class TestRealProcess:
+    @pytest.mark.parametrize("args,code", [
+        (["build", "nc", "-n", "4", "--json"], 0),
+        (["verify", "-n", "5", "--target", "pe-pchn", "--suite", "lattice", "--json"], 1),
+        (["build", "pi", "-n", "10"], 2),
+    ])
+    def test_same_exit_and_stdout_as_cli_runner(self, runner, tmp_path, args, code):
+        done = run_process(args, tmp_path)
+        result = runner.invoke(main, args)
+        assert done.returncode == result.exit_code == code, done.stderr
+        assert done.stdout == result.stdout_bytes
+        if code == 2:
+            assert done.stderr.startswith(b"Usage: ")
+            assert b"1 <= n <= 9, got n=10" in done.stderr
+        else:
+            assert done.stderr == b""
+
+    def test_dot_file_written_in_full(self, tmp_path):
+        done = run_process(["build", "nc", "-n", "6", "--json", "--dot", "hasse.dot"],
+                           tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["dot"] == "hasse.dot"
+        assert (tmp_path / "hasse.dot").read_text() == build_nc(6).to_dot()
+
+
+def test_exit_hook_registered_by_cli_only():
+    """`ncpe.cli` freezes the live objects at exit, so that the final
+    collection skips them; `import ncpe` alone leaves exit as it is."""
+    script = ("import atexit, gc, sys\n"
+              "import ncpe\n"
+              "assert 'ncpe.cli' not in sys.modules\n"
+              "atexit._run_exitfuncs()\n"
+              "assert gc.get_freeze_count() == 0\n"
+              "import ncpe.cli\n"
+              "atexit._run_exitfuncs()\n"
+              "assert gc.get_freeze_count() > 0\n")
+    done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
