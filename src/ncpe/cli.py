@@ -33,11 +33,12 @@ from .posets import FinitePoset
 TARGETS = ("pi", "nc", "pe-dref", "pe-pchn")
 
 # After the exit handlers, CPython collects every object still alive:
-# numpy's, click's and the posets'.  With this module imported that took
-# 0.04 s from the last exit handler to the process being reaped, against
-# 0.012 s for a bare interpreter, on a 2-vCPU Xeon; most jobs spend 0.1 s
-# or less on their work.  Freezing them into the permanent generation,
-# which no collection visits, cuts it to 0.01 s.  Exit codes, the other
+# numpy's, click's and the posets'.  With this module imported, the time
+# from `main` returning to the process being reaped was 0.04-0.06 s on a
+# 2-vCPU Xeon, against 0.011 s for a bare interpreter, where most
+# commands of the benchmark spend 0.02-0.2 s on their work (BENCH_17.json).
+# Freezing those objects into the permanent generation, which no
+# collection visits, cuts it to 0.008-0.016 s.  Exit codes, the other
 # exit handlers and the flush of stdout and stderr are untouched.
 # gc.disable() does not stop the final collection, and os._exit() would
 # skip the other handlers and the flush.  Registered here, not in the
