@@ -4,27 +4,24 @@ partitions, and the noncrossing subfamily that omits the block
 here), together with its native join.
 
 The build works on restricted growth strings: the noncrossing codes are
-generated in the order of their blocks, and the covers are found on one
-numpy matrix of codes by a packed-key lookup of every block merge of
-every code at once.  The sort by blocks and the per-member cover loop
-these replace are the test oracles.
+generated in the order of their blocks, and the covers are found by
+packed-int arithmetic on the codes and one dict look-up per block merge.
+The sort by blocks and the per-member cover loop these replace are the
+test oracles.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
-import numpy as np
-
-from .partitions import PartitionError, SetPartition, _merge_relabel, nc_join
+from .partitions import PartitionError, SetPartition, nc_join
 from .posets import FinitePoset
 
 PI_MAX_N = 9
 NC_MAX_N = 10
 PE_MAX_N = 10
-KEY_MAX_N = 15  # codes pack into int64 cover-search keys, 4 bits a position
 
 
 class BuildError(ValueError):
@@ -131,43 +128,34 @@ def _merge_covers(members: list[SetPartition]) -> list[tuple[int, int]]:
     cover rule of the dual refinement order, found on the codes: no
     partition is built for a candidate.
 
-    The codes form one matrix, and each code packs into an int64 key, 4
-    bits per position (below 2^60 for n <= 15).  For each block pair
-    a < b, all codes with a block b are relabelled at once through the
-    merge table, packed, and looked up among the members' sorted keys.
-    The pairs (i, j) come ordered by i, then (a, b) in `combinations`
-    order.  To keep the peak RSS of a build down, the sorts are numpy's
-    stable ones, which load fewer pages of its code than the default,
-    and the indices are int32, which halves the temporaries.
+    Each code packs into an int key, 4 bits a position, first position
+    highest, and W[c] packs a 1 at each position of block c, so the key
+    is the sum of c W[c].  Merging block b into a < b turns the b of its
+    positions into a and lowers every block after b by one, so the
+    merged code's key is key - (b - a) W[b] - sum_{c > b} W[c], looked
+    up among the members' keys.  The pairs (i, j) come ordered by i,
+    then (a, b) in `combinations` order.
     """
     if not members:
         return []
     n = members[0].n
-    if n > KEY_MAX_N:
-        raise BuildError(f"cover search packs codes of n <= {KEY_MAX_N}, got n={n}")
-    codes = np.array([x.code for x in members], dtype=np.uint8)
-    weight = np.int64(1) << np.arange(4 * (n - 1), -1, -4, dtype=np.int64)
-    keys = codes @ weight
-    order = np.argsort(keys, kind="stable").astype(np.int32)
-    sorted_keys = keys[order]
-    nblocks = codes.max(axis=1) + 1
-    lower = [np.empty(0, dtype=np.int32)]  # per block pair, the i and j of its covers
-    upper = [np.empty(0, dtype=np.int32)]
-    for a, b in combinations(range(int(nblocks.max())), 2):
-        rows = np.flatnonzero(nblocks > b).astype(np.int32)
-        merged = np.array(_merge_relabel(a, b), dtype=np.uint8)[codes[rows]] @ weight
-        at = np.searchsorted(sorted_keys, merged)
-        at[at == len(keys)] = 0  # past the last key: a miss, as the compare finds
-        hit = sorted_keys[at] == merged
-        lower.append(rows[hit])
-        upper.append(order[at[hit]])
-    del codes, keys, order, sorted_keys  # freed before the pair list is built
-    i, j = np.concatenate(lower), np.concatenate(upper)
-    del lower, upper
-    by_i = np.argsort(i, kind="stable")
-    index = list(range(len(members)))  # one int object per member, shared by the pairs
-    return list(zip(map(index.__getitem__, memoryview(i[by_i])),
-                    map(index.__getitem__, memoryview(j[by_i]))))
+    place = [1 << 4 * k for k in reversed(range(n))]
+    packed: list[tuple[int, list[int]]] = []  # per member, its key and W
+    for x in members:
+        w = [0] * (max(x.code) + 1)
+        for c, bit in zip(x.code, place):
+            w[c] += bit
+        packed.append((sum(c * wc for c, wc in enumerate(w)), w))
+    index = {key: i for i, (key, _) in enumerate(packed)}
+    covers: list[tuple[int, int]] = []
+    for i, (key, w) in enumerate(packed):
+        total = sum(w)
+        after = [total - s for s in accumulate(w)]  # after[b] = sum_{c > b} W[c]
+        for a, b in combinations(range(len(w)), 2):
+            j = index.get(key - (b - a) * w[b] - after[b])
+            if j is not None:
+                covers.append((i, j))
+    return covers
 
 
 def build_pi(n: int) -> FinitePoset:

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .partitions import SetPartition
-from .posets import FinitePoset, PosetError
+from .posets import FinitePoset, PosetError, _members
 
 
 class LabelingError(ValueError):
@@ -80,20 +78,26 @@ def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence) -> EdgeLabel
     That predicate is monotone in t, since c_t <= c_(t+1) gives
     y v c_t <= y v c_(t+1), and it holds at t = r, where c_r is the top.
     So it fails for t below the label and holds from it on, and the
-    label lies in [r]: with one join row per chain element, it is the
-    first t at which the predicate holds.  On supersolvable lattices it
-    equals the meet form, the least t with c_t ^ z not below y; the
-    tests check that.
+    label lies in [r]: it is the number of t at which the predicate
+    fails.  With y < z, the predicate is y v c_t = z v c_t (if z lies
+    below y v c_t, so does z v c_t, and y v c_t <= z v c_t always), so
+    one join row per chain element decides it for every cover.  On
+    supersolvable lattices the label equals the meet form, the least t
+    with c_t ^ z not below y; the tests check that.
     """
     if not poset.lattice_check().is_lattice:
         raise LabelingError("left-modular labeling requires a lattice")
     chain = [poset.index(k) for k in chain_keys]
     if not poset.is_left_modular_chain(chain):
         raise LabelingError("chain is not left-modular")
-    lower, upper = np.array(poset.covers, dtype=np.int64).reshape(-1, 2).T
-    joins = np.array([poset.join_row(c) for c in chain])  # joins[t, y] = y v c_t
-    labels = poset.leq[upper, joins[:, lower]].argmax(axis=0)
-    return EdgeLabeling(poset, dict(zip(poset.covers, labels.tolist())))
+    lower = [y for y, _ in poset.covers]
+    upper = [z for _, z in poset.covers]
+    labels = [0] * len(poset.covers)
+    for c in chain:
+        join = poset.join_row(c).__getitem__  # join(y) = y v c
+        labels = list(map(operator.add, labels,
+                          map(operator.ne, map(join, lower), map(join, upper))))
+    return EdgeLabeling(poset, dict(zip(poset.covers, labels)))
 
 
 def parking_label(x: SetPartition, y: SetPartition) -> int:
@@ -148,25 +152,25 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     the rising x-to-w chains and keeps the least word (tuples, so words
     of different lengths compare as before).  Then [x, y] passes iff it
     has exactly one rising chain and its least word is rising; the
-    intervals are checked in the order of `leq[x]`, and the first
+    intervals are checked in increasing order of y, and the first
     failing one gets its witness from the chains of [x, y] alone.
 
     The walk from x lists every maximal chain of [x, 1] before any
     interval is judged.  So that a labeling failing just above x does
     not pay for it, the intervals of length two above x are judged
     first from the cover labels; if one fails, x's intervals are
-    checked one at a time in `leq[x]` order, each from its own chains,
-    up to the first failing one."""
+    checked one at a time in increasing order of y, each from its own
+    chains, up to the first failing one."""
     _, top = poset._require_bounded()
     by_lower = labeling._by_lower
-    height = poset.height.tolist()
+    height = poset.height
     for x in range(len(poset.keys)):
         if x == top:
             continue
-        uppers = np.flatnonzero(poset.leq[x]).tolist()
+        uppers = _members(poset.above[x])
         if _length_two_fails(by_lower, height, x):
             return ELVerdict(False, witness=next(filter(None, (
-                _interval_witness(poset, labeling, x, y) for y in uppers if y != x))))
+                _interval_witness(poset, labeling, x, y) for y in uppers))))
         rising_count: dict[int, int] = {}
         least: dict[int, tuple[int, ...]] = {}
         words: list[tuple[int, ...]] = [()]  # words[i]: the word of chain[:i + 1]
@@ -191,7 +195,7 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
                     least[w] = word
             prev = chain
         for y in uppers:
-            if y != x and (rising_count.get(y) != 1 or not is_rising(least[y])):
+            if rising_count.get(y) != 1 or not is_rising(least[y]):
                 return ELVerdict(False, witness=_interval_witness(poset, labeling, x, y))
     return ELVerdict(True)
 

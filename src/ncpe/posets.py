@@ -1,10 +1,10 @@
 """Generic finite poset and lattice machinery.
 
 Elements are opaque hashable keys; the engine never inspects their
-structure.  The order is kept as a dense boolean matrix, cover relations
-as an adjacency list (the transitive reduction).  `from_covers` closes
-the covers on Python-int bitsets, dropping each row once it is unpacked
-and its lower covers have read it.
+structure.  The order is kept as one Python int per element, with bit j
+of row i set iff element i lies strictly below element j, and cover
+relations as an adjacency list (the transitive reduction).
+`from_covers` closes the covers on these rows.
 
 Lattice questions are answered on up-sets and down-sets as Python ints,
 closed over the covers on first use, with one bit per element placed by
@@ -22,15 +22,8 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, compress
 from typing import Hashable, Iterable, Iterator, Sequence
-
-import numpy as np
-
-
-# _moebius_to keeps int64 values while their absolute sum stays below this
-MOEBIUS_INT64_BOUND = 1 << 62
 
 
 class PosetError(ValueError):
@@ -49,10 +42,10 @@ class LatticeCheck:
 
 
 class FinitePoset:
-    def __init__(self, keys: Sequence[Hashable], leq: np.ndarray,
+    def __init__(self, keys: Sequence[Hashable], above: list[int],
                  covers: list[tuple[int, int]]):
         self.keys = tuple(keys)
-        self.leq = leq
+        self.above = above  # bit j of above[i] is set iff keys[i] < keys[j]
         self.covers = covers
         self._index = {k: i for i, k in enumerate(self.keys)}
         self._left_modular: dict[int, bool] = {}  # is_left_modular, per element
@@ -67,10 +60,8 @@ class FinitePoset:
         """Build from cover index pairs (i, j) meaning key[i] is covered
         by key[j]; the order is the reflexive-transitive closure.
 
-        In reverse topological order, row v (an int with bit j set iff
-        v < j) is the OR of the upper covers of v and their rows.  It is
-        unpacked into the bool matrix at once and dropped when the last
-        lower cover of v has read it, so few rows are held as ints.
+        In reverse topological order, the row of v (an int with bit j set
+        iff v < j) is the OR of the upper covers of v and their rows.
 
         The covers are always validated: a given pair (i, j) is rejected
         when another given upper cover w of i has bit j set in row w,
@@ -82,18 +73,15 @@ class FinitePoset:
         # a dict keeps the given order, often nearly sorted, so the sort is cheap
         covers = sorted(dict.fromkeys(map(_int_pair, cover_pairs)))
         up: list[list[int]] = [[] for _ in range(n)]
-        unread = [0] * n  # per element, the lower covers yet to read its row
+        indeg = [0] * n
         for i, j in covers:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise PosetError(f"bad cover pair ({i}, {j})")
             up[i].append(j)
-            unread[j] += 1
-        order = _topological_order(n, up, unread)
-        leq = np.empty((n, n), dtype=bool)
-        bits, nbytes = leq.view(np.uint8), (n + 7) // 8
-        rows: list[int | None] = [None] * n
+            indeg[j] += 1
+        rows = [0] * n
         bad = (n, 0, 0)  # the least (i, w, j) with w < j, covers w, j of i
-        for v in reversed(order):
+        for v in reversed(_topological_order(n, up, indeg)):
             row = mask = 0  # mask: the upper covers of v
             for w in up[v]:
                 row |= rows[w]
@@ -101,21 +89,12 @@ class FinitePoset:
             if row & mask and v < bad[0]:
                 hit, w = next((rows[w] & mask, w) for w in up[v] if rows[w] & mask)
                 bad = (v, w, (hit & -hit).bit_length() - 1)
-            row |= mask
-            packed = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
-            bits[v] = np.unpackbits(packed, count=n, bitorder="little")
-            bits[v, v] = 1
-            if unread[v]:
-                rows[v] = row
-            for w in up[v]:
-                unread[w] -= 1
-                if not unread[w]:
-                    rows[w] = None
+            rows[v] = row | mask
         if bad[0] < n:
             i, w, j = bad
             raise PosetError(f"({keys[i]!r}, {keys[j]!r}) is not a cover: "
                              f"{keys[w]!r} lies strictly between")
-        return cls(keys, leq, covers)
+        return cls(keys, rows, covers)
 
     # -- basic structure -------------------------------------------------
 
@@ -136,13 +115,17 @@ class FinitePoset:
 
     @cached_property
     def bottom(self) -> int | None:
-        mins = np.flatnonzero(self.leq.all(axis=1))
-        return int(mins[0]) if len(mins) == 1 else None
+        """The only minimal element, if there is one: in a finite poset
+        every element lies above a minimal one, so it is the least."""
+        mins = [v for v, h in enumerate(self.height) if not h]
+        return mins[0] if len(mins) == 1 else None
 
     @cached_property
     def top(self) -> int | None:
-        maxs = np.flatnonzero(self.leq.all(axis=0))
-        return int(maxs[0]) if len(maxs) == 1 else None
+        """The only maximal element, the one with an empty row, if there
+        is one; it is the greatest, as the bottom is the least."""
+        maxs = [v for v, row in enumerate(self.above) if not row]
+        return maxs[0] if len(maxs) == 1 else None
 
     def _require_bounded(self) -> tuple[int, int]:
         if self.bottom is None or self.top is None:
@@ -150,22 +133,26 @@ class FinitePoset:
         return self.bottom, self.top
 
     @cached_property
-    def height(self) -> np.ndarray:
+    def height(self) -> list[int]:
         """Longest-chain length from a minimal element, per element.
-        Round k raises h[j] to h[i] + 1 over every cover (i, j) at once,
-        which settles every element of height k; a round that changes
-        nothing ends the loop."""
-        n, pairs = len(self.keys), len(self.covers)
-        lo = np.fromiter(map(itemgetter(0), self.covers), dtype=np.int64, count=pairs)
-        hi = np.fromiter(map(itemgetter(1), self.covers), dtype=np.int64, count=pairs)
-        h = np.zeros(n, dtype=np.int64)
-        for _ in range(n + 1):  # a chain has at most n - 1 covers
-            raised = h.copy()
-            np.maximum.at(raised, hi, h[lo] + 1)
-            if np.array_equal(raised, h):
-                return h
-            h = raised
-        raise PosetError("cover relation contains a cycle")
+        Level k holds the elements whose lower covers all lie in the
+        levels before it, as Kahn's algorithm finds them one round at a
+        time; its last lower cover is then at level k - 1."""
+        h = [0] * len(self.keys)
+        unread = [0] * len(self.keys)  # per element, its lower covers not yet leveled
+        for _, j in self.covers:
+            unread[j] += 1
+        level, k = [v for v, count in enumerate(unread) if not count], 0
+        while level:
+            upper = []
+            for v in level:
+                h[v] = k
+                for w in self.upper_covers[v]:
+                    unread[w] -= 1
+                    if not unread[w]:
+                        upper.append(w)
+            level, k = upper, k + 1
+        return h
 
     # -- chains ----------------------------------------------------------
 
@@ -173,8 +160,9 @@ class FinitePoset:
         """All saturated x-to-y chains as index tuples, in lexicographic
         order of element indices (covers of an interval coincide with
         covers of the full poset).  Depth-first with an explicit stack of
-        successor iterators; each element's successors below y are
-        filtered once per call, unless y is the top.
+        successor iterators.  Unless y is the top, the elements of
+        [x, y] are read once per call off the rows, and so are their
+        upper covers inside it.
 
         Being depth-first, the walk emits the chains that share a prefix
         one after another, and callers rely on this contiguity:
@@ -185,8 +173,10 @@ class FinitePoset:
             yield (x,)
             return
         up = self.upper_covers
-        # every upper cover of an element lies below the top: no filter
-        succ = up if y == self.top else _CoversBelow(up, self.leq[:, y].tolist())
+        succ = up  # every upper cover of an element lies below the top
+        if y != self.top:
+            inside = {v for v in _members(self.above[x]) if v == y or self.above[v] >> y & 1}
+            succ = {w: [v for v in up[w] if v in inside] for w in (x, *inside)}
         chain = [x]
         stack = [iter(succ[x])]
         while stack:
@@ -207,7 +197,7 @@ class FinitePoset:
 
     def interval_maximal_chains(self, x: int, y: int) -> list[tuple[int, ...]]:
         """All saturated x-to-y chains, lexicographically."""
-        if not self.leq[x, y]:
+        if x != y and not self.above[x] >> y & 1:
             raise PosetError("not a comparable pair")
         return list(self._saturated_chains(x, y))
 
@@ -222,15 +212,15 @@ class FinitePoset:
         down = [0] * len(self.keys)
         up[bot] = 1
         down[top] = 1
-        for i, j in sorted(covers, key=lambda c: int(h[c[0]])):
+        for i, j in sorted(covers, key=lambda c: h[c[0]]):
             up[j] += up[i]
-        for i, j in sorted(covers, key=lambda c: -int(h[c[1]])):
+        for i, j in sorted(covers, key=lambda c: -h[c[1]]):
             down[i] += down[j]
         return up, down
 
     # -- gradedness and rank ----------------------------------------------
 
-    def is_graded(self) -> tuple[bool, np.ndarray | None]:
+    def is_graded(self) -> tuple[bool, list[int] | None]:
         """True iff all maximal chains have equal length; on success also
         the rank function (length of any bottom-to-x saturated chain)."""
         self._require_bounded()
@@ -238,36 +228,50 @@ class FinitePoset:
         # bottom-to-x saturated chain have length height[x]
         if any(self.height[j] != self.height[i] + 1 for i, j in self.covers):
             return False, None
-        return True, self.height.copy()
+        return True, list(self.height)
 
     def rank(self) -> int:
         self._require_bounded()
-        return int(self.height[self.top])
+        return self.height[self.top]
 
     # -- Moebius function --------------------------------------------------
 
     def moebius_bottom_top(self) -> int:
         bot, top = self._require_bounded()
-        return int(self._moebius_to(top)[bot])
+        return self._moebius_to(top)[bot]
 
-    def _moebius_to(self, y: int) -> np.ndarray:
+    def _moebius_to(self, y: int) -> list[int]:
         """mu(x, y) per element x, 0 unless x <= y, by the recursion
-        mu(x, y) = -sum_{x < z <= y} mu(z, y) in decreasing height order:
-        every such z is higher than x, so its value is already known,
-        and mu(x, y) is still 0 when its own sum is taken.  The values
-        are int64 while their absolute sum is below MOEBIUS_INT64_BOUND,
-        which no partial sum can then pass; past it they are Python ints."""
-        below = self.leq[:, y].copy()
-        xs = np.flatnonzero(below)
-        xs = xs[np.argsort(-self.height[xs], kind="stable")]  # y first
-        mu = np.zeros(len(self.keys), dtype=np.int64)
-        mu[y] = total = 1
-        for x in xs[1:].tolist():
-            if total >= MOEBIUS_INT64_BOUND and mu.dtype != object:
-                mu = mu.astype(object)
-            value = -int(mu[self.leq[x] & below].sum())
-            mu[x] = value
-            total += abs(value)
+        mu(x, y) = -sum_{x < z <= y} mu(z, y), one height level at a time
+        from y down: every such z is higher than x, so its value is
+        already known.  The sum runs over the whole row of x, since every
+        z above x that is not below y holds 0.
+
+        It is taken on bit planes of the known values: the plane of
+        weight +-2^b holds the z whose mu has that sign and binary digit b,
+        and the sum is that of each weight times the number of bits the
+        row of x shares with its plane: a few int ANDs per element."""
+        above, n = self.above, len(self.keys)
+        levels: dict[int, list[int]] = {}
+        for x in range(n):
+            if x != y and (y == self.top or above[x] >> y & 1):
+                levels.setdefault(self.height[x], []).append(x)
+        mu = [0] * n
+        mu[y] = 1
+        digits: dict[int, bytearray] = {}  # per weight, its plane as bytes
+        known = [y]
+        for k in sorted(levels, reverse=True):
+            for z in known:
+                size = abs(mu[z])
+                for b in range(size.bit_length()):
+                    if size >> b & 1:
+                        weight = (1 if mu[z] > 0 else -1) << b
+                        digits.setdefault(weight, bytearray((n + 7) // 8))[z >> 3] |= 1 << (z & 7)
+            planes = [(weight, int.from_bytes(bits, "little")) for weight, bits in digits.items()]
+            for x in levels[k]:
+                row = above[x]
+                mu[x] = -sum(weight * (row & bits).bit_count() for weight, bits in planes)
+            known = levels[k]
         return mu
 
     # -- lattice structure ---------------------------------------------------
@@ -287,7 +291,7 @@ class FinitePoset:
         covers, filled from the highest rank down, and each down-set is
         ORed into the down-sets of its upper covers from the lowest rank
         up."""
-        by_rank = np.argsort(self.height, kind="stable").tolist()
+        by_rank = sorted(range(len(self.keys)), key=self.height.__getitem__)
         n = len(by_rank)
         up, down = [0] * n, [0] * n
         for r, x in enumerate(by_rank):
@@ -416,17 +420,14 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
 
-class _CoversBelow(dict):
-    """Upper covers that lie below a fixed element, per element, each
-    list filtered on first use."""
+def _members(row: int) -> list[int]:
+    """The positions of the set bits of a row, in increasing order.  The
+    int is unpacked once, to bytes, and only its nonzero bytes are read."""
+    data = row.to_bytes((row.bit_length() + 7) // 8, "little")
+    return [8 * k + t for k in compress(range(len(data)), data) for t in _BYTE_BITS[data[k]]]
 
-    def __init__(self, up: list[list[int]], below: list[bool]):
-        super().__init__()
-        self.up, self.below = up, below
 
-    def __missing__(self, w: int) -> list[int]:
-        ws = self[w] = [v for v in self.up[w] if self.below[v]]
-        return ws
+_BYTE_BITS = [tuple(t for t in range(8) if b >> t & 1) for b in range(256)]
 
 
 def _has_least(members: int, up: list[int], by_rank: list[int]) -> bool:

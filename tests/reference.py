@@ -1,6 +1,7 @@
-"""Definitions that only the tests use: a poset from its relation matrix,
-the row-OR closure and sort-based topological order that `from_covers`
-once used, the height by one step per cover, the Moebius recursion by dicts and the full Moebius table of a
+"""Definitions that only the tests use: a poset from its relation matrix
+and the relation matrix of a poset, the row-OR closure and sort-based
+topological order that `from_covers` once used, the height by one step
+per cover, the Moebius recursion by dicts and the full Moebius table of a
 poset, the unique rising maximal chain of an edge labeling, the EL check
 by one chain list per interval, the parking label by its block-set
 rule, and the chain family of the noncrossing lattice that defines the
@@ -20,7 +21,7 @@ witness scan, left-modularity by covers and the labels by join rows.
 The join, noncrossing closure and PE join that relabel through
 `_from_labels` are the oracles of the code-level kernels in `src`, and
 the per-member cover loop and the sort by blocks are the oracles of the
-vectorised cover search and of the order in which the noncrossing
+packed-int cover search and of the order in which the noncrossing
 enumeration generates its partitions."""
 
 import weakref
@@ -48,7 +49,31 @@ def from_leq_matrix(keys: Sequence[Hashable], leq: np.ndarray) -> FinitePoset:
     order; its covers are the transitive reduction."""
     keys = tuple(keys)
     check_partial_order(keys, leq)
-    return FinitePoset(keys, leq, transitive_reduction(leq))
+    return FinitePoset(keys, matrix_rows(leq), transitive_reduction(leq))
+
+
+def matrix_rows(leq: np.ndarray) -> list[int]:
+    """The rows of `FinitePoset.above` for a relation matrix: bit j of
+    row i set iff i < j."""
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in strict]
+
+
+_LEQ: "weakref.WeakKeyDictionary[FinitePoset, np.ndarray]" = weakref.WeakKeyDictionary()
+
+
+def leq_matrix(p: FinitePoset) -> np.ndarray:
+    """The relation matrix of a poset, leq[i, j] iff element i <= element
+    j, unpacked from its rows (computed once per poset)."""
+    if p not in _LEQ:
+        n = len(p.keys)
+        leq = np.eye(n, dtype=bool)
+        for i, row in enumerate(p.above):
+            packed = np.frombuffer(row.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+            leq[i] |= np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+        _LEQ[p] = leq
+    return _LEQ[p]
 
 
 def check_partial_order(keys: tuple, leq: np.ndarray) -> None:
@@ -128,7 +153,7 @@ def row_or_from_covers(keys: Sequence[Hashable],
                 raise PosetError(
                     f"({keys[i]!r}, {keys[j]!r}) is not a cover: "
                     f"{keys[w]!r} lies strictly between")
-    return FinitePoset(keys, leq, covers)
+    return FinitePoset(keys, matrix_rows(leq), covers)
 
 
 def lower_covers(p: FinitePoset) -> list[list[int]]:
@@ -169,16 +194,18 @@ def per_row_extremum_table(leq: np.ndarray, covers: list[list[int]],
 def per_row_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     """The join and meet tables (with their -1 and -2 entries) by
     `per_row_extremum_table` over the heap topological order."""
-    n, h = len(p.keys), p.height
+    n, h, leq = len(p.keys), np.array(p.height), leq_matrix(p)
     topo = _topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)])
-    return (per_row_extremum_table(p.leq, p.upper_covers, reversed(topo), h),
-            per_row_extremum_table(p.leq.T, lower_covers(p), topo, -h))
+    return (per_row_extremum_table(leq, p.upper_covers, reversed(topo), h),
+            per_row_extremum_table(leq.T, lower_covers(p), topo, -h))
 
 
 def loop_height(p: FinitePoset) -> np.ndarray:
     """Longest-chain length from a minimal element, per element, by one
-    Python step per cover in topological order.  The oracle of
-    `FinitePoset.height`, which relaxes all covers at once per round."""
+    step per cover in topological order, raising the upper end to one
+    above the lower.  The oracle of `FinitePoset.height`, which takes the
+    elements one level at a time, each once its lower covers are all
+    leveled."""
     n = len(p.keys)
     h = np.zeros(n, dtype=np.int64)
     for v in _topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)]):
@@ -191,7 +218,7 @@ def dict_moebius_to(p: FinitePoset, y: int) -> dict[int, int]:
     """mu(x, y) for every x <= y by the recursion
     mu(x, y) = -sum_{x < z <= y} mu(z, y), one Python sum per element in
     decreasing height order.  The oracle of `FinitePoset._moebius_to`."""
-    leq = p.leq
+    leq = leq_matrix(p)
     below = np.flatnonzero(leq[:, y])
     mu: dict[int, int] = {y: 1}
     for x in sorted(below, key=lambda v: -int(p.height[v])):
@@ -219,7 +246,7 @@ def verify_el_by_intervals(p: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     oracle of `verify_el`, which walks once per lower endpoint."""
     p._require_bounded()
     for x in range(len(p.keys)):
-        for y in np.flatnonzero(p.leq[x]):
+        for y in np.flatnonzero(leq_matrix(p)[x]):
             if y == x:
                 continue
             chains = p.interval_maximal_chains(x, int(y))
@@ -528,7 +555,7 @@ def meet_form_labels(p: FinitePoset,
     tables = lattice_tables(p)
     chain = [p.index(k) for k in chain_keys]
     return {(y, z): next(t for t in range(len(chain))
-                         if not p.leq[tables.meet[chain[t], z], y])
+                         if not leq_matrix(p)[tables.meet[chain[t], z], y])
             for y, z in p.covers}
 
 
@@ -540,7 +567,7 @@ def join_table_labels(p: FinitePoset,
     tables = lattice_tables(p)
     chain = [p.index(k) for k in chain_keys]
     return {(y, z): next(t for t in range(len(chain))
-                         if p.leq[z, tables.join[y, chain[t]]])
+                         if leq_matrix(p)[z, tables.join[y, chain[t]]])
             for y, z in p.covers}
 
 
@@ -577,7 +604,7 @@ def lattice_tables(p: FinitePoset) -> LatticeTables:
 
 
 def _lattice_tables(p: FinitePoset) -> LatticeTables:
-    leq, h = p.leq, p.height
+    leq, h = leq_matrix(p), np.array(p.height)
     join = _extremum_table(leq, p.upper_covers, h)
     meet = _extremum_table(leq.T, lower_covers(p), -h)
     if (join >= 0).all() and (meet >= 0).all():
@@ -601,14 +628,14 @@ def modular_columns(p: FinitePoset, x: int,
                     pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Per z, whether xMz: (y v x) ^ z == y v (x ^ z) for every y <= z,
     from the tables, over the comparable pairs (y, z), which callers that
-    ask about many x pass as `np.nonzero(p.leq)`.  Left-modularity of x
+    ask about many x pass as `np.nonzero(leq_matrix(p))`.  Left-modularity of x
     is the conjunction; the oracle of the cover criterion of
     `FinitePoset.is_left_modular`."""
     tables = lattice_tables(p)
     if not tables.is_lattice:
         raise PosetError("modular pairs are defined only in lattices")
     join, meet = tables.join, tables.meet
-    ys, zs = np.nonzero(p.leq) if pairs is None else pairs
+    ys, zs = np.nonzero(leq_matrix(p)) if pairs is None else pairs
     broken = meet[join[x, ys], zs] != join[ys, meet[x, zs]]
     columns = np.ones(len(p.keys), dtype=bool)
     columns[zs[broken]] = False

@@ -107,19 +107,34 @@ class TestMergeCoversOracle:
 
 
 class TestMergeCoversKernel:
-    """The vectorised cover search against the per-member loop it
-    replaced, and its key-width guard."""
+    """The packed-int cover search against the per-member loop it
+    replaced, up to n = 16, the largest ground set."""
 
     @pytest.mark.parametrize("family, n", [("nc", 9), ("nc", 10), ("pe", 10), ("pi", 7)])
     def test_same_cover_list_as_code_loop(self, family, n):
         members = FAMILIES[family](n)
         assert _merge_covers(members) == code_merge_covers(members)
 
-    def test_key_width_guard(self):
+    def test_sixteen_positions(self):
+        """Random partitions of [16] and the discrete and full ones, with
+        every merge of two of their blocks and the merges of those: keys
+        of 16 positions, 64 bits, and block labels up to 15."""
         atom = SetPartition.bottom(15).merge(14, 15)
         assert _merge_covers([SetPartition.bottom(15), atom]) == [(0, 1)]
-        with pytest.raises(BuildError, match="n <= 15"):
-            _merge_covers([SetPartition.bottom(16)])
+        rng = random.Random(16)
+        members = {SetPartition.bottom(16), SetPartition.top(16)}
+        for _ in range(12):
+            code = [0]
+            for _ in range(15):
+                code.append(rng.randint(0, max(code) + 1))
+            members.add(SetPartition(16, tuple(code)))
+        for _ in range(2):
+            members |= {x.merge(a, b) for x in list(members)
+                        for a, b in combinations([blk[0] for blk in x.blocks], 2)}
+        members = sorted(members, key=lambda x: x.code)
+        covers = _merge_covers(members)
+        assert covers == code_merge_covers(members)
+        assert len(covers) > len(members)
 
 
 class TestPosets:

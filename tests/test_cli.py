@@ -15,6 +15,7 @@ from click.testing import CliRunner
 import ncpe
 from ncpe.builders import build_nc, distinguished_chain
 from ncpe.cli import _closed_form, main
+from ncpe.parking import build_pe_pchn
 from ncpe.posets import FinitePoset
 from reference import build_D, chain_parking_word
 
@@ -212,6 +213,21 @@ class TestNbbChainsLabel:
         assert report["all_chains"] == 16 and report["avoiding"] == 7
         assert report["words"] == ["111", "112", "121", "122", "211",
                                    "212", "221"]
+
+    def test_chains_words_build_once(self, runner, monkeypatch):
+        """`--words` builds the chain-defined order once and counts the
+        avoiding chains on it."""
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return build_pe_pchn(n)
+
+        monkeypatch.setattr("ncpe.cli.build_pe_pchn", counted)
+        monkeypatch.setattr("ncpe.parking.build_pe_pchn", counted)
+        code, report = run_json(runner, "chains", "-n", "5", "--words")
+        assert code == 0 and built == [5]
+        assert report["avoiding"] == len(report["words"]) == 5 ** 3 - 4 ** 3
 
     def test_chains_count_only(self, runner):
         code, report = run_json(runner, "chains", "-n", "7", "--count-only")
@@ -416,3 +432,26 @@ def test_exit_hook_registered_by_cli_only():
     done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_runs_without_numpy():
+    """The package needs only the standard library and click: with numpy
+    made unimportable, every subcommand runs and prints what it prints
+    here."""
+    commands = [["build", "nc", "-n", "5", "--json"], ["verify", "-n", "5", "--json"],
+                ["mobius", "-n", "5", "--json"], ["nbb", "-n", "5", "--json"],
+                ["chains", "-n", "5", "--words", "--json"],
+                ["label", "-n", "5", "--check-el", "--json"]]
+    script = ("import json, sys\n"
+              "sys.modules['numpy'] = None\n"
+              "import ncpe.cli\n"
+              "from click.testing import CliRunner\n"
+              "results = [CliRunner().invoke(ncpe.cli.main, args)\n"
+              "           for args in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([[r.exit_code, r.output] for r in results]))\n")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    runner = CliRunner()
+    assert json.loads(done.stdout) == [[0, runner.invoke(main, args).output]
+                                       for args in commands]

@@ -10,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from ncpe import posets
 from ncpe.builders import build_nc, build_pe_dref, build_pi, distinguished_chain
 from ncpe.labelings import left_modular_labeling
 from ncpe.parking import build_pe_pchn
 from ncpe.posets import FinitePoset, PosetError, _topological_order
 from reference import (LatticeTables, _extremum_table, _unique_extremum,
                        certify_supersolvable, dict_moebius_to, from_leq_matrix,
-                       is_modular_pair, join_table_labels, lattice_tables, loop_height,
-                       lower_covers, modular_columns, moebius_table,
+                       is_modular_pair, join_table_labels, lattice_tables, leq_matrix,
+                       loop_height, lower_covers, modular_columns, moebius_table,
                        per_row_extremum_table, per_row_tables, row_or_from_covers,
                        sorted_topological_order, transitive_reduction)
 
@@ -61,7 +60,7 @@ def pairwise_lattice(p: FinitePoset) -> LatticeTables:
     n = len(p.keys)
     join = np.full((n, n), -1, dtype=np.int64)
     meet = np.full((n, n), -1, dtype=np.int64)
-    h, leq = p.height, p.leq
+    h, leq = np.array(p.height), leq_matrix(p)
     for i in range(n):
         for j in range(i, n):
             z = _unique_extremum(leq[i] & leq[j], h, leq, least=True)
@@ -90,7 +89,7 @@ def from_order_oracle(keys, leq_fn) -> FinitePoset:
 def direct_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     """Componentwise order on pairs of elements."""
     keys = [(a, b) for a in p.keys for b in q.keys]
-    leq = np.kron(p.leq, q.leq).astype(bool)
+    leq = np.kron(leq_matrix(p), leq_matrix(q)).astype(bool)
     return from_leq_matrix(keys, leq)
 
 
@@ -134,7 +133,7 @@ def recursive_saturated_chains(p: FinitePoset, x: int, y: int):
             yield tuple(stack)
             return
         for w in p.upper_covers[v]:
-            if p.leq[w, y]:
+            if leq_matrix(p)[w, y]:
                 stack.append(w)
                 yield from dfs(w)
                 stack.pop()
@@ -175,14 +174,14 @@ class TestConstruction:
 
     def test_transitive_reduction_recomputation(self):
         for p in (N5, M3, divisors_poset(60)):
-            again = from_leq_matrix(p.keys, p.leq)
+            again = from_leq_matrix(p.keys, leq_matrix(p))
             assert sorted(again.covers) == sorted(p.covers)
 
     def test_json_roundtrip(self):
         q = from_json(N5.to_json())
         assert q.keys == N5.keys
         assert sorted(q.covers) == sorted(N5.covers)
-        assert np.array_equal(q.leq, N5.leq)
+        assert np.array_equal(leq_matrix(q), leq_matrix(N5))
 
     def test_to_dot_mentions_all_covers(self):
         dot = N5.to_dot()
@@ -205,8 +204,9 @@ class TestBitsetClosure:
         p = build()
         fast = FinitePoset.from_covers(p.keys, p.covers)
         slow = row_or_from_covers(p.keys, p.covers)
-        assert fast.leq.flags.c_contiguous and fast.leq.dtype == bool
-        assert np.array_equal(fast.leq, slow.leq)
+        assert all(type(row) is int for row in fast.above)
+        assert fast.above == slow.above
+        assert np.array_equal(leq_matrix(fast), leq_matrix(slow))
         assert fast.covers == slow.covers
 
     @pytest.mark.parametrize("build", [lambda: build_nc(6), lambda: build_pe_dref(7),
@@ -226,7 +226,7 @@ class TestBitsetClosure:
             p = build()
         except PosetError as exc:
             return str(exc)
-        return p.leq, p.covers
+        return p.above, p.covers
 
     def assert_same_outcome(self, keys, edges):
         fast = self.outcome(lambda: FinitePoset.from_covers(keys, edges))
@@ -234,7 +234,7 @@ class TestBitsetClosure:
         if isinstance(slow, str):
             assert fast == slow
         else:
-            assert np.array_equal(fast[0], slow[0]) and fast[1] == slow[1]
+            assert fast[0] == slow[0] and fast[1] == slow[1]
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65])
     @given(data=st.data())
@@ -256,7 +256,7 @@ class TestBitsetClosure:
             closed = closed @ closed
         covers = transitive_reduction(closed)
         self.assert_same_outcome(keys, covers)
-        assert np.array_equal(FinitePoset.from_covers(keys, covers).leq, closed)
+        assert np.array_equal(leq_matrix(FinitePoset.from_covers(keys, covers)), closed)
 
     def test_several_redundant_edges(self):
         """A chain a < ... < h with shortcuts from several elements: the
@@ -288,8 +288,9 @@ class TestBitsetClosure:
         assert all(any(c is d for d in covers) for c in q.covers)
 
     def test_peak_memory(self):
-        """The closure of PE_9 holds few bit rows beside the N x N bool
-        matrix: traced peak at most 1.2 N^2 bytes."""
+        """The closure of PE_9 keeps one bit row per element, N^2 / 8
+        bytes in all, and little beside: traced peak at most 0.2 N^2
+        bytes."""
         p = build_pe_dref(9)
         tracemalloc.start()
         try:
@@ -298,7 +299,7 @@ class TestBitsetClosure:
         finally:
             tracemalloc.stop()
         assert len(p.keys) == 4004
-        assert peak <= 1.2 * len(p.keys) ** 2
+        assert peak <= 0.2 * len(p.keys) ** 2
 
 
 class TestChainsAndGrading:
@@ -315,7 +316,7 @@ class TestChainsAndGrading:
     def test_walker_matches_recursion(self, real_poset):
         """Every comparable pair, of N5 and of the real poset."""
         for p in (N5, real_poset):
-            for x, y in np.argwhere(p.leq).tolist():
+            for x, y in np.argwhere(leq_matrix(p)).tolist():
                 assert p.interval_maximal_chains(x, y) == \
                     recursive_saturated_chains(p, x, y)
 
@@ -360,13 +361,13 @@ class TestMoebius:
     def test_dual_recursion(self, p):
         """The table also satisfies mu(x,y) = -sum_{x < z <= y} mu(z,y)."""
         t = moebius_table(p)
-        n = len(p.keys)
+        n, leq = len(p.keys), leq_matrix(p)
         for x in range(n):
             for y in range(n):
-                if not p.leq[x, y] or x == y:
+                if not leq[x, y] or x == y:
                     continue
                 total = sum(t[(z, y)] for z in range(n)
-                            if p.leq[x, z] and p.leq[z, y] and z != x)
+                            if leq[x, z] and leq[z, y] and z != x)
                 assert t[(x, y)] == -total
 
     def test_table_matches_bottom_top(self, real_poset):
@@ -459,7 +460,7 @@ class TestLatticeOracle:
         t = pairwise_lattice(p)
         for x in range(len(p.keys)):
             cols = [all(t.meet[t.join[y, x], z] == t.join[y, t.meet[x, z]]
-                        for y in np.flatnonzero(p.leq[:, z]))
+                        for y in np.flatnonzero(leq_matrix(p)[:, z]))
                     for z in range(len(p.keys))]
             assert [is_modular_pair(p, x, z) for z in range(len(p.keys))] == cols
             assert p.is_left_modular(x) == all(cols)
@@ -473,8 +474,9 @@ PCHN = [(f"pe-pchn{n}", lambda n=n: build_pe_pchn(n)) for n in range(3, 9)]
 
 
 def level_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
-    return (_extremum_table(p.leq, p.upper_covers, p.height),
-            _extremum_table(p.leq.T, lower_covers(p), -p.height))
+    leq, h = leq_matrix(p), np.array(p.height)
+    return (_extremum_table(leq, p.upper_covers, h),
+            _extremum_table(leq.T, lower_covers(p), -h))
 
 
 def assert_tables_match(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
@@ -506,7 +508,7 @@ class TestLevelTables:
         monkeypatch.setattr(reference, "_extremum_table", lambda leq, covers, height:
                             per_row_extremum_table(leq, covers,
                                                    np.argsort(-height, kind="stable"), height))
-        slow = lattice_tables(FinitePoset(p.keys, p.leq, p.covers))
+        slow = lattice_tables(FinitePoset(p.keys, p.above, p.covers))
         assert (fast.is_lattice, fast.witness, fast.reason) == \
             (slow.is_lattice, slow.witness, slow.reason)
 
@@ -566,7 +568,7 @@ class TestBitsetLattice:
     def test_left_modular_matches_tables(self, build):
         p = build()
         fast = [p.is_left_modular(x) for x in range(len(p.keys))]
-        pairs = np.nonzero(p.leq)
+        pairs = np.nonzero(leq_matrix(p))
         assert fast == [bool(modular_columns(p, x, pairs).all())
                         for x in range(len(p.keys))]
 
@@ -583,11 +585,12 @@ class TestMoebiusOracle:
 
     @staticmethod
     def assert_moebius_matches(p: FinitePoset, ys) -> None:
+        leq = leq_matrix(p)
         for y in ys:
             mu = p._moebius_to(y)
             expected = dict_moebius_to(p, y)
-            assert {x: int(v) for x, v in enumerate(mu) if p.leq[x, y]} == expected
-            assert not mu[~p.leq[:, y]].any()
+            assert {x: int(v) for x, v in enumerate(mu) if leq[x, y]} == expected
+            assert not np.array(mu, dtype=object)[~leq[:, y]].any()
 
     @pytest.mark.parametrize("build", [b for _, b in PARTITION_POSETS],
                              ids=[name for name, _ in PARTITION_POSETS])
@@ -596,11 +599,18 @@ class TestMoebiusOracle:
         # every upper endpoint where that is cheap, else the top
         self.assert_moebius_matches(p, range(len(p.keys)) if len(p.keys) <= 60 else [p.top])
 
-    @pytest.mark.parametrize("build", [lambda: build_nc(6), lambda: build_pe_dref(6),
-                                       lambda: build_pi(5), lambda: divisors_poset(360)],
-                             ids=["nc6", "pe6", "pi5", "divisors360"])
-    def test_python_int_path(self, build, monkeypatch):
-        monkeypatch.setattr(posets, "MOEBIUS_INT64_BOUND", 4)
-        p = build()
-        assert p._moebius_to(p.top).dtype == object
+    @pytest.mark.parametrize("levels, width, value", [
+        (40, 4, -3 ** 40), (21, 9, 1 << 63), (16, 17, -1 << 64)],
+        ids=["3^40", "2^63", "2^64"])
+    def test_exact_past_int64(self, levels, width, value):
+        """With 0 and 1 added, the ordinal sum of k antichains of w
+        elements has mu(0, 1) = (-1)^(k-1) (w-1)^k: here -3^40 (about
+        -1.2e19), 2^63 and -2^64, none of which an int64 holds.  That value
+        and every other mu(x, 1) are exact."""
+        size = 2 + levels * width
+        ranks = ([[0]] + [list(range(1 + width * k, 1 + width * (k + 1)))
+                          for k in range(levels)] + [[size - 1]])
+        p = FinitePoset.from_covers(range(size), [(a, b) for low, high in zip(ranks, ranks[1:])
+                                                 for a in low for b in high])
+        assert p.moebius_bottom_top() == value == (-1) ** (levels - 1) * (width - 1) ** levels
         self.assert_moebius_matches(p, [p.top])
