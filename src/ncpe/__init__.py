@@ -11,8 +11,7 @@ from .labelings import (EdgeLabeling, LabelingError, left_modular_labeling,
 from .nbb import (Atom, classification_census, classify_base,
                   enumerate_nbb_bases_top, moebius_via_nbb)
 from .parking import build_pe_pchn, count_D
-from .partitions import (PartitionError, SetPartition, join_partition, nc_join,
-                         parse_partition)
+from .partitions import PartitionError, SetPartition, nc_join, parse_partition
 from .posets import FinitePoset, PosetError
 
 __version__ = "1.0.0"
@@ -23,8 +22,8 @@ __all__ = [
     "build_pe_dref", "build_pe_pchn", "build_pi", "catalan",
     "classification_census", "classify_base", "count_D",
     "distinguished_chain", "enumerate_nbb_bases_top", "enumerate_noncrossing",
-    "enumerate_partitions", "is_pe_member", "join_partition",
-    "left_modular_labeling", "moebius_via_nbb", "nc_join", "parking_label",
-    "parking_labeling", "parse_partition", "pe_join", "pe_members",
-    "usual_labeling", "verify_el", "verify_sn_el",
+    "enumerate_partitions", "is_pe_member", "left_modular_labeling",
+    "moebius_via_nbb", "nc_join", "parking_label", "parking_labeling",
+    "parse_partition", "pe_join", "pe_members", "usual_labeling", "verify_el",
+    "verify_sn_el",
 ]

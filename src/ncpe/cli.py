@@ -26,7 +26,7 @@ from .labelings import (EdgeLabeling, count_decreasing_chains,
                         usual_labeling, verify_el, verify_sn_el)
 from .nbb import (Atom, base_to_tree, check_nbb_size, classification_census,
                   enumerate_nbb_bases_top, moebius_via_nbb)
-from .parking import build_pe_pchn, count_D
+from .parking import build_pe_pchn, check_pchn_size, count_D
 from .partitions import PartitionError, parse_partition
 from .posets import FinitePoset
 
@@ -46,27 +46,29 @@ TARGETS = ("pi", "nc", "pe-dref", "pe-pchn")
 atexit.register(gc.freeze)
 
 
-def _build(target: str, n: int) -> FinitePoset:
+def _build(target: str, n: int) -> tuple[FinitePoset, FinitePoset | None]:
+    """The target poset, and the PE-dref poset that pe-pchn is cut from."""
     if target == "pi":
-        return build_pi(n)
+        return build_pi(n), None
     if target == "nc":
-        return build_nc(n)
+        return build_nc(n), None
     if target == "pe-dref":
-        return build_pe_dref(n)
-    return build_pe_pchn(n)
+        return build_pe_dref(n), None
+    check_pchn_size(n)  # before the larger PE-dref build
+    dref = build_pe_dref(n)
+    return build_pe_pchn(n, dref), dref
 
 
-def _labeling(target: str, n: int, poset: FinitePoset, scheme: str) -> EdgeLabeling:
+def _labeling(n: int, poset: FinitePoset, dref: FinitePoset | None,
+              scheme: str) -> EdgeLabeling:
     """The requested edge labeling; the left-modular scheme on the
     chain-defined order is the restriction from the dref order."""
     if scheme == "parking":
         return parking_labeling(poset)
     if scheme == "usual":
         return usual_labeling(poset)
-    if target == "pe-pchn":
-        dref = build_pe_dref(n)
-        lam = left_modular_labeling(dref, distinguished_chain(n))
-        return lam.restrict(poset)
+    if dref is not None:
+        return left_modular_labeling(dref, distinguished_chain(n)).restrict(poset)
     return left_modular_labeling(poset, distinguished_chain(n))
 
 
@@ -137,7 +139,7 @@ def build(target: str, n: int, as_json: bool, dot_path: str | None) -> None:
     Caps: pi n<=9, nc n<=10, pe-dref 3<=n<=10, pe-pchn 3<=n<=8.
     """
     started = time.monotonic()
-    poset = _build(target, n)
+    poset = _build(target, n)[0]
     report = {
         "command": "build", "target": target, "n": n,
         "elements": len(poset.keys), "covers": len(poset.covers),
@@ -169,7 +171,7 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
     if target == "pe-pchn" and suite == "leftmod":
         raise click.UsageError(
             "left-modularity needs a lattice; pe-pchn is not one for n>=5")
-    poset = _build(target, n)
+    poset, dref = _build(target, n)
     verdicts: dict[str, object] = {}
     check = None
     if suite in ("lattice", "leftmod", "all"):
@@ -186,7 +188,7 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
         chain = [poset.index(x) for x in distinguished_chain(n)]
         verdicts["left_modular_chain"] = poset.is_left_modular_chain(chain)
     if suite in ("el", "sn-el", "all"):
-        lam = _labeling(target, n, poset, "leftmod")
+        lam = _labeling(n, poset, dref, "leftmod")
         if suite in ("el", "all"):
             verdict = verify_el(poset, lam)
             verdicts["el"] = verdict.el
@@ -221,14 +223,14 @@ def mobius(n: int, target: str, method: str, as_json: bool) -> None:
     use_nbb = method in ("nbb", "all") and target != "pe-pchn"
     if use_nbb:
         check_nbb_size(n, ambient)
-    poset = _build(target, n)
+    poset, dref = _build(target, n)
     values: dict[str, int] = {}
     if method in ("recursion", "all"):
         values["recursion"] = poset.moebius_bottom_top()
     if use_nbb:
         values["nbb"] = moebius_via_nbb(n, ambient)
     if method in ("chains", "all"):
-        lam = _labeling(target, n, poset, "leftmod")
+        lam = _labeling(n, poset, dref, "leftmod")
         sign = (-1) ** poset.rank()
         values["chains"] = sign * count_decreasing_chains(poset, lam)
     closed = _closed_form(target, n)
@@ -327,8 +329,8 @@ def label(n: int, target: str, scheme: str, check_el: bool,
           dot_path: str | None, as_json: bool) -> None:
     """Edge labelings of a poset; optionally verify EL-shellability."""
     started = time.monotonic()
-    poset = _build(target, n)
-    lam = _labeling(target, n, poset, scheme)
+    poset, dref = _build(target, n)
+    lam = _labeling(n, poset, dref, scheme)
     names = [str(k) for k in poset.keys]
     report: dict = {
         "command": "label", "target": target, "n": n, "scheme": scheme,

@@ -22,17 +22,18 @@ PCHN_MIN_N = 3
 PCHN_MAX_N = 8
 
 
-def _check_n(n: int) -> None:
+def check_pchn_size(n: int) -> None:
     if not (PCHN_MIN_N <= n <= PCHN_MAX_N):
         raise BuildError(
             f"chain machinery supports {PCHN_MIN_N} <= n <= {PCHN_MAX_N}, got n={n}")
 
 
-def build_pe_pchn(n: int) -> FinitePoset:
-    """The chain-defined order on the PE ground set: the dref covers
-    whose parking label is not n-1, closed transitively."""
-    _check_n(n)
-    pe = build_pe_dref(n)
+def build_pe_pchn(n: int, pe: FinitePoset | None = None) -> FinitePoset:
+    """The chain-defined order on the PE ground set: the covers of the
+    PE-dref poset `pe` (built here if not given) whose parking label is
+    not n-1, closed transitively."""
+    check_pchn_size(n)
+    pe = build_pe_dref(n) if pe is None else pe
     return FinitePoset.from_covers(
         pe.keys, [(i, j) for i, j in pe.covers
                   if parking_label(pe.keys[i], pe.keys[j]) != n - 1])

@@ -3,11 +3,12 @@
 A partition is stored as its restricted growth string: code[e-1] is the
 index of the block holding e, blocks numbered by their least elements.
 Equal partitions therefore have equal codes, with no canonicalisation
-step; the blocks are derived from the code on demand.  The join and
-the noncrossing closure work on the codes alone: union-find over block
-indices (the closure finds its merges in one scan with a stack of open
-blocks), then one pass that renumbers the merged blocks.  All
-operations are pure and return fresh partitions.
+step; the blocks are derived from the code on demand.  The noncrossing
+join is one kernel on the codes alone: union-find over the blocks of
+one input, one scan with a stack of open classes that merges the
+crossing ones, and one pass that renumbers, so each join builds one
+partition.  The noncrossing closure is the same scan.  All operations
+are pure and return fresh partitions.
 """
 
 from __future__ import annotations
@@ -150,9 +151,22 @@ def parse_partition(text: str, n: int | None = None) -> SetPartition:
     return SetPartition.of(n, blocks)
 
 
-def join_partition(x: SetPartition, y: SetPartition) -> SetPartition:
-    """Least upper bound in the full partition lattice: union-find over
-    the blocks of x, joining the blocks of x that meet one block of y."""
+def nc_closure(x: SetPartition) -> SetPartition:
+    """Smallest noncrossing partition weakly above x: the closure scan of
+    `nc_join` with every block of x its own class."""
+    return _nc_closed(x.n, x.code, list(range(max(x.code) + 1)))
+
+
+def nc_join(x: SetPartition, y: SetPartition) -> SetPartition:
+    """Least upper bound of two noncrossing partitions among noncrossing
+    partitions: the noncrossing closure of their join in the full
+    partition lattice, computed in one kernel.  Union-find over the
+    blocks of x joins the blocks of x that meet one block of y; the
+    closure scan then runs on those classes."""
+    if not x.is_noncrossing:
+        raise PartitionError(f"crossing input: {x}")
+    if not y.is_noncrossing:
+        raise PartitionError(f"crossing input: {y}")
     if x.n != y.n:
         raise PartitionError(f"mismatched ground sets: {x.n} != {y.n}")
     root = list(range(max(x.code) + 1))  # block -> a smaller block it joined
@@ -170,41 +184,43 @@ def join_partition(x: SetPartition, y: SetPartition) -> SetPartition:
             root[f] = a
         elif f < a:
             root[a] = f
-    return SetPartition(x.n, _relabel(x.code, root))
+    return _nc_closed(x.n, x.code, root)
 
 
-def nc_closure(x: SetPartition) -> SetPartition:
-    """Smallest noncrossing partition weakly above x, in one scan.
+def _nc_closed(n: int, code: tuple[int, ...], root: list[int]) -> SetPartition:
+    """The noncrossing closure of the partition whose classes are the
+    blocks of `code` joined along `root` (root[c] <= c), in one scan.
 
-    A stack holds the open blocks (seen, with elements still to come) in
-    the order they opened.  When an element's block lies below the top of
-    the stack, each block above it opened later and is still open, so it
-    crosses that block and merges into it.  A block closes at its last
-    element; no later merge reaches into it, so nothing crosses it.
-    The result's `is_noncrossing` is set, so an `nc_join` that takes it
-    as input does not close it again.
+    A class is numbered by its least block, so it opens at that block's
+    first element, and `last` holds its last element.  A stack holds the
+    open classes in the order they opened.  When an element's class lies
+    below the top of the stack, each class above it opened later and is
+    still open, so it crosses that class and merges into it.  A class
+    closes at its last element; no later merge reaches into it, so
+    nothing crosses it.  The result's `is_noncrossing` is set, so an
+    `nc_join` that takes it as input does not close it again.
     """
-    code = x.code
-    root = list(range(max(code) + 1))  # block -> an earlier block it joined
     last = [0] * len(root)
     for e, c in enumerate(code):
         last[c] = e
+    for c in range(len(root) - 1, 0, -1):  # every block before its root
+        last[root[c]] = max(last[root[c]], last[c])
     stack: list[int] = []
     fresh = 0
     for e, c in enumerate(code):
-        if c == fresh:  # the least element of a block
+        if c == fresh:  # the first element of a block
             fresh += 1
-            stack.append(c)
-        else:
-            while root[c] != c:
-                c = root[c]
-            while stack[-1] != c:
-                top = stack.pop()
-                root[top] = c
-                last[c] = max(last[c], last[top])
+            if root[c] == c:  # and of its class
+                stack.append(c)
+        while root[c] != c:
+            c = root[c]
+        while stack[-1] != c:
+            top = stack.pop()
+            root[top] = c
+            last[c] = max(last[c], last[top])
         if last[c] == e:
             stack.pop()
-    closed = SetPartition(x.n, _relabel(code, root))
+    closed = SetPartition(n, _relabel(code, root))
     closed.__dict__["is_noncrossing"] = True  # by construction; no second closure
     return closed
 
@@ -224,13 +240,3 @@ def _relabel(code: tuple[int, ...], root: list[int]) -> tuple[int, ...]:
         else:
             label[c] = label[r]
     return tuple([label[c] for c in code])
-
-
-def nc_join(x: SetPartition, y: SetPartition) -> SetPartition:
-    """Least upper bound of two noncrossing partitions among noncrossing
-    partitions: the noncrossing closure of the plain join."""
-    if not x.is_noncrossing:
-        raise PartitionError(f"crossing input: {x}")
-    if not y.is_noncrossing:
-        raise PartitionError(f"crossing input: {y}")
-    return nc_closure(join_partition(x, y))

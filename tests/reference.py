@@ -419,10 +419,10 @@ def verify_restriction_el(n: int) -> RestrictionVerdict:
 # -- lattice operations and lemmas ------------------------------------------
 
 def labelled_join_partition(x: SetPartition, y: SetPartition) -> SetPartition:
-    """The join in the full partition lattice as `join_partition` once
-    computed it: union-find over the blocks of x, each element's block
-    found by walking its root chain, and the roots renumbered by first
-    appearance through `_from_labels`."""
+    """The join in the full partition lattice: union-find over the blocks
+    of x, each element's block found by walking its root chain, and the
+    roots renumbered by first appearance through `_from_labels`.  `src`
+    has no such join; `nc_join` closes the union-find classes directly."""
     if x.n != y.n:
         raise PartitionError(f"mismatched ground sets: {x.n} != {y.n}")
     root = list(range(max(x.code) + 1))

@@ -101,6 +101,22 @@ class TestVerify:
         assert report["verdicts"]["lattice"] is False
         assert len(report["verdicts"]["lattice_witness"]["pair"]) == 2
 
+    def test_pchn_builds_dref_once(self, runner, monkeypatch):
+        """The chain-defined order and its restricted left-modular labeling
+        are cut from one PE-dref poset."""
+        built = []
+        build_pe_dref = ncpe.builders.build_pe_dref
+
+        def counted(n):
+            built.append(n)
+            return build_pe_dref(n)
+
+        for module in ("ncpe.cli", "ncpe.parking"):
+            monkeypatch.setattr(f"{module}.build_pe_dref", counted)
+        code, report = run_json(runner, "verify", "-n", "5", "--target", "pe-pchn")
+        assert code == 1 and report["verdicts"]["el"] is True
+        assert built == [5]
+
     def test_graded_suite_builds_no_tables(self, runner, monkeypatch):
         def no_tables(self):
             raise AssertionError("lattice tables built for --suite graded")

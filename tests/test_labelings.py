@@ -8,7 +8,7 @@ import pytest
 
 from ncpe.builders import (build_nc, build_pe_dref, build_pi, distinguished_chain,
                            enumerate_partitions)
-from ncpe.cli import _labeling
+from ncpe.cli import _build, _labeling
 from ncpe.labelings import (EdgeLabeling, LabelingError, count_decreasing_chains,
                             is_rising, is_weakly_decreasing, left_modular_labeling,
                             parking_label, parking_labeling, usual_labeling,
@@ -18,10 +18,6 @@ from ncpe.partitions import SetPartition, parse_partition
 from ncpe.posets import FinitePoset
 from reference import (block_set_parking_label, meet_form_labels,
                        unique_rising_chain, verify_el_by_intervals)
-
-BUILDS = {"nc": build_nc, "pe-dref": build_pe_dref, "pe-pchn": build_pe_pchn,
-          "pi": build_pi}
-
 
 def label_or_error(label, x, y):
     try:
@@ -188,8 +184,8 @@ class TestDecreasingChains:
 
 @lru_cache(maxsize=None)
 def labeled(target, n, scheme):
-    p = BUILDS[target](n)
-    return p, _labeling(target, n, p, scheme)
+    p, dref = _build(target, n)
+    return p, _labeling(n, p, dref, scheme)
 
 
 # pentagon: bottom < a < c < top (word (l01, l13, l34)), bottom < b < top

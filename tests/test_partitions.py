@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpe.builders import enumerate_noncrossing, enumerate_partitions
-from ncpe.partitions import (MAX_N, PartitionError, SetPartition,
-                             join_partition, nc_closure, nc_join,
-                             parse_partition)
-from reference import (labelled_nc_closure, labelled_nc_join, meet_partition,
-                       nc_meet)
+from ncpe.partitions import (MAX_N, PartitionError, SetPartition, nc_closure,
+                             nc_join, parse_partition)
+from reference import (labelled_join_partition, labelled_nc_closure,
+                       labelled_nc_join, meet_partition, nc_meet)
 
 
 def random_partition(n: int):
@@ -112,7 +111,7 @@ class TestNoncrossing:
 
     def test_nc_join_beats_plain_join(self):
         x, y = parse_partition("13|2|4"), parse_partition("1|24|3")
-        assert join_partition(x, y) == parse_partition("13|24")
+        assert labelled_join_partition(x, y) == parse_partition("13|24")
         assert nc_join(x, y) == parse_partition("1234")
 
     def test_nc_ops_reject_crossing_input(self):
@@ -137,7 +136,7 @@ class TestMeetJoin:
         m = meet_partition(x, y)
         assert m.leq_dref(x) and m.leq_dref(y)
         # greatest: any common lower bound is below the meet
-        j = join_partition(x, y)
+        j = labelled_join_partition(x, y)
         assert x.leq_dref(j) and y.leq_dref(j)
         assert m.leq_dref(j)
 
@@ -145,19 +144,19 @@ class TestMeetJoin:
     @settings(max_examples=100, deadline=None)
     def test_lattice_axioms(self, x, y, z):
         assert meet_partition(x, y) == meet_partition(y, x)
-        assert join_partition(x, y) == join_partition(y, x)
-        assert join_partition(x, join_partition(y, z)) == \
-            join_partition(join_partition(x, y), z)
+        assert labelled_join_partition(x, y) == labelled_join_partition(y, x)
+        assert labelled_join_partition(x, labelled_join_partition(y, z)) == \
+            labelled_join_partition(labelled_join_partition(x, y), z)
         assert meet_partition(x, meet_partition(y, z)) == \
             meet_partition(meet_partition(x, y), z)
-        assert join_partition(x, meet_partition(x, y)) == x
-        assert meet_partition(x, join_partition(x, y)) == x
+        assert labelled_join_partition(x, meet_partition(x, y)) == x
+        assert meet_partition(x, labelled_join_partition(x, y)) == x
 
     @given(random_partition(6), random_partition(6))
     @settings(max_examples=100, deadline=None)
     def test_leq_iff_meet(self, x, y):
         assert x.leq_dref(y) == (meet_partition(x, y) == x)
-        assert x.leq_dref(y) == (join_partition(x, y) == y)
+        assert x.leq_dref(y) == (labelled_join_partition(x, y) == y)
 
 
 # -- oracle: the pairwise and fixpoint definitions on block tuples ----------
@@ -242,7 +241,7 @@ class TestOracle:
             partners = members if n <= 5 else rng.sample(members, 8)
             for y in partners:
                 assert meet_partition(x, y) == oracle_meet(x, y)
-                assert join_partition(x, y) == oracle_join(x, y)
+                assert labelled_join_partition(x, y) == oracle_join(x, y)
                 assert x.leq_dref(y) == oracle_leq(x, y)
             i, j = rng.randint(1, n), rng.randint(1, n)
             assert x.merge(i, j) == oracle_merge(x, i, j)
@@ -294,7 +293,20 @@ class TestJoinKernels:
 
         monkeypatch.setattr("ncpe.partitions.nc_closure", counted)
         assert w.is_noncrossing and not calls
-        assert nc_join(w, parse_partition("1|2|3|45")) == SetPartition.top(5)
-        assert len(calls) == 2  # the unclosed right input, and the plain join
+        z = parse_partition("1|2|3|45")
+        assert nc_join(w, z) == SetPartition.top(5)
+        assert calls == [z]  # the unclosed right input; the join is not re-closed
         with pytest.raises(PartitionError):
             nc_join(w, x)
+
+    def test_one_partition_per_join(self, monkeypatch):
+        """`nc_join` constructs its result and no other partition: not the
+        plain join 13|24|5, which the closure merges into 1234|5."""
+        x, y = parse_partition("13|2|4|5"), parse_partition("1|24|3|5")
+        assert x.is_noncrossing and y.is_noncrossing  # closed before counting
+        built = []
+        init = SetPartition.__post_init__
+        monkeypatch.setattr(SetPartition, "__post_init__",
+                            lambda self: built.append(self.code) or init(self))
+        assert nc_join(x, y).code == (0, 0, 0, 0, 1)
+        assert built == [(0, 0, 0, 0, 1)]
