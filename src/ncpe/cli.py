@@ -302,7 +302,7 @@ def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> None:
     report: dict = {"command": "chains", "n": n}
     if show_words and not count_only:
         poset = build_pe_pchn(n)  # checks the size cap
-        report["avoiding"] = poset.path_counts(poset.covers)[0][poset.top]
+        report["avoiding"] = poset.maximal_chain_count()
         lam = parking_labeling(poset)
         report["words"] = sorted("".join(map(str, lam.word(c)))
                                  for c in poset.iter_maximal_chains())

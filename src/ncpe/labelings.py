@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .partitions import SetPartition
-from .posets import FinitePoset, PosetError, _members
+from .posets import FinitePoset, PosetError
 
 
 class LabelingError(ValueError):
@@ -167,7 +167,7 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     for x in range(len(poset.keys)):
         if x == top:
             continue
-        uppers = _members(poset.above[x])
+        uppers = poset.above(x)
         if _length_two_fails(by_lower, height, x):
             return ELVerdict(False, witness=next(filter(None, (
                 _interval_witness(poset, labeling, x, y) for y in uppers))))

@@ -148,9 +148,11 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
                 join = joins.get(s, _MISS)
                 if join is _MISS:
                     join = join_op(joins[sub], parts[k])
-                    # a singleton is never BB
-                    if sub and is_bb([below[i] for i in chosen if sub >> i & 1]
-                                     + [below[k]], n, ambient, join):
+                    # a singleton is never BB.  `below` is in rank order and
+                    # the verdict depends only on the join and the set's
+                    # least-ranked member, its lowest bit, so that atom stands
+                    # for the set
+                    if sub and is_bb([below[(s & -s).bit_length() - 1]], n, ambient, join):
                         join = None
                     joins[s] = join
                 if join is None:

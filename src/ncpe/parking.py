@@ -42,5 +42,4 @@ def build_pe_pchn(n: int, pe: FinitePoset | None = None) -> FinitePoset:
 def count_D(n: int) -> int:
     """Size of the avoiding-chain family without storing chains: path
     count from bottom to top of the chain-defined order."""
-    p = build_pe_pchn(n)
-    return p.path_counts(p.covers)[0][p.top]
+    return build_pe_pchn(n).maximal_chain_count()

@@ -1,24 +1,26 @@
 """Generic finite poset and lattice machinery.
 
 Elements are opaque hashable keys; the engine never inspects their
-structure.  The order is kept as one Python int per element, with bit j
-of row i set iff element i lies strictly below element j, and cover
-relations as an adjacency list (the transitive reduction).
-`from_covers` closes the covers on these rows.
+structure.  The order is held once.  `from_covers` reads the covers (the
+transitive reduction) level by level, as Kahn's algorithm finds them,
+which gives each element's height and the rank order: the elements by
+(height, index), a linear extension.  It then closes the covers, from
+the highest rank down, into one reflexive up-set per element, a Python
+int in which the element of rank r has bit N - 1 - r.
 
-Lattice questions are answered on up-sets and down-sets as Python ints,
-closed over the covers on first use, with one bit per element placed by
-its (height, index) rank.  A join is the member of least rank of the
-two up-sets' intersection, if that element lies below the whole set,
-and a meet the member of greatest rank of the down-sets'.  No join or
-meet table is built: the lattice verdict joins only pairs of upper
-covers of a common element, left-modularity needs one join row and one
-meet row, and the left-modular labeling one join row per chain element.
+So a set's least element, if it has one, is its highest set bit, which
+`int.bit_length` finds without reading the others, and an element's own
+bit is the highest of its up-set.  A join is the member of least rank of
+two up-sets' intersection, if that element lies below the whole set.
+Meets are the same on down-sets, built from the covers only when a meet
+is asked for, with the element of rank r at bit r.  No join or meet
+table is built: the lattice verdict joins only pairs of upper covers of
+a common element, left-modularity needs one join row and one meet row,
+and the left-modular labeling one join row per chain element.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,11 +44,13 @@ class LatticeCheck:
 
 
 class FinitePoset:
-    def __init__(self, keys: Sequence[Hashable], above: list[int],
-                 covers: list[tuple[int, int]]):
+    def __init__(self, keys: Sequence[Hashable], covers: list[tuple[int, int]],
+                 height: list[int], by_rank: list[int], up: list[int]):
         self.keys = tuple(keys)
-        self.above = above  # bit j of above[i] is set iff keys[i] < keys[j]
         self.covers = covers
+        self.height = height  # longest-chain length from a minimal element
+        self.by_rank = by_rank  # the elements by (height, index)
+        self.up = up  # reflexive up-sets; the element of rank r has bit N - 1 - r
         self._index = {k: i for i, k in enumerate(self.keys)}
         self._left_modular: dict[int, bool] = {}  # is_left_modular, per element
         if len(self._index) != len(self.keys):
@@ -60,41 +64,63 @@ class FinitePoset:
         """Build from cover index pairs (i, j) meaning key[i] is covered
         by key[j]; the order is the reflexive-transitive closure.
 
-        In reverse topological order, the row of v (an int with bit j set
-        iff v < j) is the OR of the upper covers of v and their rows.
+        Kahn's algorithm reads the covers one level at a time: level k
+        holds the elements whose lower covers all lie in the levels
+        before it, so k is the length of a longest chain up to the
+        element from a minimal one, its height.  The levels, each in
+        index order, are the rank order; an element never leveled lies
+        on a cycle.  Then, from the highest rank down, the up-set of v is
+        its own bit and the up-sets of its upper covers.
 
-        The covers are always validated: a given pair (i, j) is rejected
-        when another given upper cover w of i has bit j set in row w,
-        which holds exactly when the pair is not in the transitive
-        reduction; the least i, then w, then j is reported.
+        The covers are always validated: a given pair (v, j) is rejected
+        when another given upper cover w of v lies below j, and the least
+        v, then w, then j is reported.  Then height[j] > height[w] >
+        height[v], so only an element with an upper cover two or more
+        levels above it can have such a pair.
         """
         keys = tuple(keys)
         n = len(keys)
         # a dict keeps the given order, often nearly sorted, so the sort is cheap
         covers = sorted(dict.fromkeys(map(_int_pair, cover_pairs)))
-        up: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
+        ups: list[list[int]] = [[] for _ in range(n)]
+        unread = [0] * n  # per element, its lower covers not yet leveled
         for i, j in covers:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise PosetError(f"bad cover pair ({i}, {j})")
-            up[i].append(j)
-            indeg[j] += 1
-        rows = [0] * n
-        bad = (n, 0, 0)  # the least (i, w, j) with w < j, covers w, j of i
-        for v in reversed(_topological_order(n, up, indeg)):
-            row = mask = 0  # mask: the upper covers of v
-            for w in up[v]:
-                row |= rows[w]
-                mask |= 1 << w
-            if row & mask and v < bad[0]:
-                hit, w = next((rows[w] & mask, w) for w in up[v] if rows[w] & mask)
-                bad = (v, w, (hit & -hit).bit_length() - 1)
-            rows[v] = row | mask
+            ups[i].append(j)
+            unread[j] += 1
+        height = [0] * n
+        by_rank: list[int] = []
+        level, k = [v for v, count in enumerate(unread) if not count], 0
+        while level:
+            level.sort()
+            by_rank += level
+            upper = []
+            for v in level:
+                height[v] = k
+                for w in ups[v]:
+                    unread[w] -= 1
+                    if not unread[w]:
+                        upper.append(w)
+            level, k = upper, k + 1
+        if len(by_rank) != n:
+            raise PosetError("cover relation contains a cycle")
+        up = [0] * n
+        bad = (n, 0, 0)  # the least (v, w, j) with w < j, covers w, j of v
+        for r in range(n - 1, -1, -1):
+            v = by_rank[r]
+            row = 1 << (n - 1 - r)
+            for w in ups[v]:
+                row |= up[w]
+            up[v] = row
+            if v < bad[0] and max(map(height.__getitem__, ups[v]), default=0) > height[v] + 1:
+                bad = next(((v, w, j) for w in ups[v] for j in ups[v] if height[j] > height[w]
+                            and up[w] >> (up[j].bit_length() - 1) & 1), bad)
         if bad[0] < n:
-            i, w, j = bad
-            raise PosetError(f"({keys[i]!r}, {keys[j]!r}) is not a cover: "
+            v, w, j = bad
+            raise PosetError(f"({keys[v]!r}, {keys[j]!r}) is not a cover: "
                              f"{keys[w]!r} lies strictly between")
-        return cls(keys, rows, covers)
+        return cls(keys, covers, height, by_rank, up)
 
     # -- basic structure -------------------------------------------------
 
@@ -113,46 +139,27 @@ class FinitePoset:
             lst.sort()
         return out
 
+    def above(self, x: int) -> list[int]:
+        """The elements strictly above x, in increasing index order: the
+        up-set of x without its highest bit, x's own."""
+        by_rank, last = self.by_rank, len(self.keys) - 1
+        return sorted(by_rank[last - p] for p in _members(self.up[x])[:-1])
+
     @cached_property
     def bottom(self) -> int | None:
-        """The only minimal element, if there is one: in a finite poset
-        every element lies above a minimal one, so it is the least."""
-        mins = [v for v, h in enumerate(self.height) if not h]
-        return mins[0] if len(mins) == 1 else None
+        """The element of least rank, if its up-set holds every element."""
+        by_rank = self.by_rank
+        return by_rank[0] if by_rank and self.up[by_rank[0]].bit_count() == len(by_rank) else None
 
     @cached_property
     def top(self) -> int | None:
-        """The only maximal element, the one with an empty row, if there
-        is one; it is the greatest, as the bottom is the least."""
-        maxs = [v for v, row in enumerate(self.above) if not row]
-        return maxs[0] if len(maxs) == 1 else None
+        """The element of greatest rank, at bit 0, if every up-set holds it."""
+        return self.by_rank[-1] if self.up and all(row & 1 for row in self.up) else None
 
     def _require_bounded(self) -> tuple[int, int]:
         if self.bottom is None or self.top is None:
             raise PosetError("poset is not bounded")
         return self.bottom, self.top
-
-    @cached_property
-    def height(self) -> list[int]:
-        """Longest-chain length from a minimal element, per element.
-        Level k holds the elements whose lower covers all lie in the
-        levels before it, as Kahn's algorithm finds them one round at a
-        time; its last lower cover is then at level k - 1."""
-        h = [0] * len(self.keys)
-        unread = [0] * len(self.keys)  # per element, its lower covers not yet leveled
-        for _, j in self.covers:
-            unread[j] += 1
-        level, k = [v for v, count in enumerate(unread) if not count], 0
-        while level:
-            upper = []
-            for v in level:
-                h[v] = k
-                for w in self.upper_covers[v]:
-                    unread[w] -= 1
-                    if not unread[w]:
-                        upper.append(w)
-            level, k = upper, k + 1
-        return h
 
     # -- chains ----------------------------------------------------------
 
@@ -161,7 +168,7 @@ class FinitePoset:
         order of element indices (covers of an interval coincide with
         covers of the full poset).  Depth-first with an explicit stack of
         successor iterators.  Unless y is the top, the elements of
-        [x, y] are read once per call off the rows, and so are their
+        [x, y] are read once per call off the up-sets, and so are their
         upper covers inside it.
 
         Being depth-first, the walk emits the chains that share a prefix
@@ -172,11 +179,12 @@ class FinitePoset:
         if x == y:
             yield (x,)
             return
-        up = self.upper_covers
-        succ = up  # every upper cover of an element lies below the top
+        covers = self.upper_covers
+        succ = covers  # every upper cover of an element lies below the top
         if y != self.top:
-            inside = {v for v in _members(self.above[x]) if v == y or self.above[v] >> y & 1}
-            succ = {w: [v for v in up[w] if v in inside] for w in (x, *inside)}
+            bit = 1 << (self.up[y].bit_length() - 1)
+            inside = {v for v in self.above(x) if self.up[v] & bit}
+            succ = {w: [v for v in covers[w] if v in inside] for w in (x, *inside)}
         chain = [x]
         stack = [iter(succ[x])]
         while stack:
@@ -197,26 +205,23 @@ class FinitePoset:
 
     def interval_maximal_chains(self, x: int, y: int) -> list[tuple[int, ...]]:
         """All saturated x-to-y chains, lexicographically."""
-        if x != y and not self.above[x] >> y & 1:
+        if not self.up[x] & 1 << (self.up[y].bit_length() - 1):
             raise PosetError("not a comparable pair")
         return list(self._saturated_chains(x, y))
 
-    def path_counts(self, covers: Sequence[tuple[int, int]]
-                    ) -> tuple[list[int], list[int]]:
-        """Per element: the number of paths along the given covers from
-        the bottom, and to the top.  With covers=self.covers the top entry
-        of the first list is the number of maximal chains."""
+    def maximal_chain_count(self) -> int:
+        """The number of maximal chains: per element, the number of
+        paths to it along the covers from the bottom, each element's
+        count added to its upper covers in rank order, which puts every
+        lower cover first."""
         bot, top = self._require_bounded()
-        h = self.height
-        up = [0] * len(self.keys)
-        down = [0] * len(self.keys)
-        up[bot] = 1
-        down[top] = 1
-        for i, j in sorted(covers, key=lambda c: h[c[0]]):
-            up[j] += up[i]
-        for i, j in sorted(covers, key=lambda c: -h[c[1]]):
-            down[i] += down[j]
-        return up, down
+        covers = self.upper_covers
+        paths = [0] * len(self.keys)
+        paths[bot] = 1
+        for x in self.by_rank:
+            for w in covers[x]:
+                paths[w] += paths[x]
+        return paths[top]
 
     # -- gradedness and rank ----------------------------------------------
 
@@ -244,69 +249,55 @@ class FinitePoset:
         """mu(x, y) per element x, 0 unless x <= y, by the recursion
         mu(x, y) = -sum_{x < z <= y} mu(z, y), one height level at a time
         from y down: every such z is higher than x, so its value is
-        already known.  The sum runs over the whole row of x, since every
-        z above x that is not below y holds 0.
+        already known.  The sum runs over the whole up-set of x, since
+        every z above x that is not below y holds 0, and x itself is in
+        no plane yet.
 
         It is taken on bit planes of the known values: the plane of
-        weight +-2^b holds the z whose mu has that sign and binary digit b,
-        and the sum is that of each weight times the number of bits the
-        row of x shares with its plane: a few int ANDs per element."""
-        above, n = self.above, len(self.keys)
-        levels: dict[int, list[int]] = {}
-        for x in range(n):
-            if x != y and (y == self.top or above[x] >> y & 1):
+        weight +-2^b holds, at their rank bits, the z whose mu has that
+        sign and binary digit b, and the sum is that of each weight times
+        the number of bits the up-set of x shares with its plane: a few
+        int ANDs per element."""
+        up, n = self.up, len(self.keys)
+        bit = 1 << (up[y].bit_length() - 1)
+        levels: dict[int, list[int]] = {}  # from the highest level down
+        for x in reversed(self.by_rank):
+            if x != y and up[x] & bit:
                 levels.setdefault(self.height[x], []).append(x)
         mu = [0] * n
         mu[y] = 1
         digits: dict[int, bytearray] = {}  # per weight, its plane as bytes
         known = [y]
-        for k in sorted(levels, reverse=True):
+        for level in levels.values():
             for z in known:
-                size = abs(mu[z])
+                size, p = abs(mu[z]), up[z].bit_length() - 1
                 for b in range(size.bit_length()):
                     if size >> b & 1:
                         weight = (1 if mu[z] > 0 else -1) << b
-                        digits.setdefault(weight, bytearray((n + 7) // 8))[z >> 3] |= 1 << (z & 7)
+                        digits.setdefault(weight, bytearray((n + 7) // 8))[p >> 3] |= 1 << (p & 7)
             planes = [(weight, int.from_bytes(bits, "little")) for weight, bits in digits.items()]
-            for x in levels[k]:
-                row = above[x]
+            for x in level:
+                row = up[x]
                 mu[x] = -sum(weight * (row & bits).bit_count() for weight, bits in planes)
-            known = levels[k]
+            known = level
         return mu
 
     # -- lattice structure ---------------------------------------------------
 
     @cached_property
-    def _bitsets(self) -> tuple[list[int], list[int], list[int]]:
-        """The elements in rank order, by (height, index), and per element
-        its up-set and its down-set as ints.  Height rises along every
-        cover, so rank order is a linear extension: a set's least
-        element, if it has one, ranks first, and its greatest element
-        last.  Down-sets give the element of rank r bit r, and up-sets bit
-        N - 1 - r, so that in both the extremum sought is the highest set
-        bit, which `int.bit_length` finds without reading the others.
-
-        Both are closed over the covers, as `from_covers` closes its
-        rows: an up-set is the element and the up-sets of its upper
-        covers, filled from the highest rank down, and each down-set is
-        ORed into the down-sets of its upper covers from the lowest rank
-        up."""
-        by_rank = sorted(range(len(self.keys)), key=self.height.__getitem__)
-        n = len(by_rank)
-        up, down = [0] * n, [0] * n
-        for r, x in enumerate(by_rank):
-            up[x], down[x] = 1 << (n - 1 - r), 1 << r
+    def _down(self) -> list[int]:
+        """Per element its down-set as an int, the element of rank r at
+        bit r, so that a set's greatest member is its highest bit.  Built
+        for meets only, in one pass from the lowest rank up: an element's
+        lower covers have all been read when it is, and its down-set is
+        ORed into those of its upper covers."""
         covers = self.upper_covers
-        for x in reversed(by_rank):
-            row = up[x]
-            for c in covers[x]:
-                row |= up[c]
-            up[x] = row
-        for x in by_rank:
-            row = down[x]
+        down = [0] * len(self.keys)
+        for r, x in enumerate(self.by_rank):
+            row = down[x] = down[x] | 1 << r
             for c in covers[x]:
                 down[c] |= row
-        return by_rank, up, down
+        return down
 
     def lattice_check(self) -> LatticeCheck:
         """Test whether every pair has a unique least upper bound and
@@ -336,11 +327,12 @@ class FinitePoset:
 
     @cached_property
     def _lattice(self) -> LatticeCheck:
-        by_rank, up, down = self._bitsets
+        up, by_rank = self.up, self.by_rank
         if self.bottom is not None and self.top is not None and all(
                 _has_least(up[a] & up[b], up, by_rank)
                 for covers in self.upper_covers for a, b in combinations(covers, 2)):
             return LatticeCheck(True)
+        down = self._down
         for i, (up_i, down_i) in enumerate(zip(up, down)):
             for j in range(i + 1, len(up)):
                 if not _has_least(up_i & up[j], up, by_rank):
@@ -356,7 +348,7 @@ class FinitePoset:
     def join_row(self, x: int) -> list[int]:
         """x v y for every element y, in a lattice: the member of least
         rank of their common up-set."""
-        by_rank, up, _ = self._bitsets
+        up, by_rank = self.up, self.by_rank
         return [by_rank[len(up) - s.bit_length()] for s in map(up[x].__and__, up)]
 
     def is_left_modular(self, x: int) -> bool:
@@ -374,7 +366,7 @@ class FinitePoset:
         join and meet with x, and its first cover is such a cover."""
         if not self._lattice.is_lattice:
             raise PosetError("left-modularity is defined only in lattices")
-        _, _, down = self._bitsets
+        down = self._down
         join = self.join_row(x)
         meet = [s.bit_length() for s in map(down[x].__and__, down)]  # rank + 1
         return not any(join[a] == join[b] and meet[a] == meet[b] for a, b in self.covers)
@@ -440,23 +432,6 @@ def _has_greatest(members: int, down: list[int], by_rank: list[int]) -> bool:
     """Whether a set, as a down-set bitset, is nonempty and lies below
     its member of greatest rank, its highest bit."""
     return members != 0 and members & down[by_rank[members.bit_length() - 1]] == members
-
-
-def _topological_order(n: int, up: list[list[int]], indeg: list[int]) -> list[int]:
-    """Kahn's algorithm, always taking the least available element."""
-    indeg = list(indeg)
-    frontier = [v for v in range(n) if indeg[v] == 0]  # sorted, so a heap
-    order: list[int] = []
-    while frontier:
-        v = heapq.heappop(frontier)
-        order.append(v)
-        for w in up[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(frontier, w)
-    if len(order) != n:
-        raise PosetError("cover relation contains a cycle")
-    return order
 
 
 def _int_pair(pair: tuple[int, int]) -> tuple[int, int]:

@@ -4,8 +4,8 @@ topological order that `from_covers` once used, the height by one step
 per cover, the Moebius recursion by dicts and the full Moebius table of a
 poset, the unique rising maximal chain of an edge labeling, the EL check
 by one chain list per interval, the parking label by its block-set
-rule, and the chain family of the noncrossing lattice that defines the
-chain-defined order on PE.
+rule, the path counts along a subset of the covers, and the chain family
+of the noncrossing lattice that defines the chain-defined order on PE.
 
 They also hold the checks of the paper's lemmas that no command runs:
 parking functions and chain words, the removed covers and their
@@ -41,7 +41,7 @@ from ncpe.nbb import Atom, NCTree
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import (PartitionError, SetPartition, _from_labels, code_blocks,
                              nc_join)
-from ncpe.posets import FinitePoset, PosetError, _topological_order
+from ncpe.posets import FinitePoset, PosetError
 
 
 def from_leq_matrix(keys: Sequence[Hashable], leq: np.ndarray) -> FinitePoset:
@@ -49,15 +49,25 @@ def from_leq_matrix(keys: Sequence[Hashable], leq: np.ndarray) -> FinitePoset:
     order; its covers are the transitive reduction."""
     keys = tuple(keys)
     check_partial_order(keys, leq)
-    return FinitePoset(keys, matrix_rows(leq), transitive_reduction(leq))
+    return matrix_poset(keys, leq, transitive_reduction(leq))
 
 
-def matrix_rows(leq: np.ndarray) -> list[int]:
-    """The rows of `FinitePoset.above` for a relation matrix: bit j of
-    row i set iff i < j."""
-    strict = leq & ~np.eye(len(leq), dtype=bool)
+def matrix_poset(keys: Sequence[Hashable], leq: np.ndarray,
+                 covers: list[tuple[int, int]]) -> FinitePoset:
+    """A `FinitePoset` with its fields computed from the relation matrix
+    and the covers: heights by one step per cover, the rank order by a
+    sort on (height, index), and the up-sets as matrix rows."""
+    height = loop_height(len(keys), covers)
+    by_rank = sorted(range(len(keys)), key=lambda v: (height[v], v))
+    return FinitePoset(keys, covers, height, by_rank, matrix_rows(leq, by_rank))
+
+
+def matrix_rows(leq: np.ndarray, by_rank: Sequence[int]) -> list[int]:
+    """The up-sets of `FinitePoset.up` for a relation matrix and a rank
+    order: bit N - 1 - r of row i set iff i <= by_rank[r]."""
+    by_bit = leq[:, list(by_rank)[::-1]]
     return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in strict]
+            for row in by_bit]
 
 
 _LEQ: "weakref.WeakKeyDictionary[FinitePoset, np.ndarray]" = weakref.WeakKeyDictionary()
@@ -65,13 +75,14 @@ _LEQ: "weakref.WeakKeyDictionary[FinitePoset, np.ndarray]" = weakref.WeakKeyDict
 
 def leq_matrix(p: FinitePoset) -> np.ndarray:
     """The relation matrix of a poset, leq[i, j] iff element i <= element
-    j, unpacked from its rows (computed once per poset)."""
+    j, unpacked from its up-sets (computed once per poset)."""
     if p not in _LEQ:
-        n = len(p.keys)
-        leq = np.eye(n, dtype=bool)
-        for i, row in enumerate(p.above):
-            packed = np.frombuffer(row.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-            leq[i] |= np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+        n, width = len(p.keys), (len(p.keys) + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in p.up),
+                               dtype=np.uint8).reshape(n, width)
+        leq = np.empty((n, n), dtype=bool)
+        leq[:, list(p.by_rank)[::-1]] = np.unpackbits(packed, axis=1, count=n,
+                                                      bitorder="little")
         _LEQ[p] = leq
     return _LEQ[p]
 
@@ -153,7 +164,7 @@ def row_or_from_covers(keys: Sequence[Hashable],
                 raise PosetError(
                     f"({keys[i]!r}, {keys[j]!r}) is not a cover: "
                     f"{keys[w]!r} lies strictly between")
-    return FinitePoset(keys, matrix_rows(leq), covers)
+    return matrix_poset(keys, leq, covers)
 
 
 def lower_covers(p: FinitePoset) -> list[list[int]]:
@@ -195,21 +206,25 @@ def per_row_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     """The join and meet tables (with their -1 and -2 entries) by
     `per_row_extremum_table` over the heap topological order."""
     n, h, leq = len(p.keys), np.array(p.height), leq_matrix(p)
-    topo = _topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)])
+    topo = sorted_topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)])
     return (per_row_extremum_table(leq, p.upper_covers, reversed(topo), h),
             per_row_extremum_table(leq.T, lower_covers(p), topo, -h))
 
 
-def loop_height(p: FinitePoset) -> np.ndarray:
+def loop_height(n: int, covers: Iterable[tuple[int, int]]) -> list[int]:
     """Longest-chain length from a minimal element, per element, by one
     step per cover in topological order, raising the upper end to one
-    above the lower.  The oracle of `FinitePoset.height`, which takes the
-    elements one level at a time, each once its lower covers are all
-    leveled."""
-    n = len(p.keys)
-    h = np.zeros(n, dtype=np.int64)
-    for v in _topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)]):
-        for w in p.upper_covers[v]:
+    above the lower.  The oracle of `FinitePoset.height`, which
+    `from_covers` takes one level at a time, each element once its lower
+    covers are all leveled."""
+    up: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in covers:
+        up[i].append(j)
+        indeg[j] += 1
+    h = [0] * n
+    for v in sorted_topological_order(n, up, indeg):
+        for w in up[v]:
             h[w] = max(h[w], h[v] + 1)
     return h
 
@@ -283,6 +298,25 @@ def iter_all_chains(n: int) -> Iterator[tuple[SetPartition, ...]]:
         yield tuple(p.keys[v] for v in chain)
 
 
+def path_counts(p: FinitePoset, covers: Sequence[tuple[int, int]]
+                ) -> tuple[list[int], list[int]]:
+    """Per element of a bounded poset: the number of paths along the
+    given covers, a subset of its own, from the bottom, and to the top.
+    With all its covers, the top entry of the first list is the number
+    of maximal chains."""
+    bot, top = p._require_bounded()
+    h = p.height
+    up = [0] * len(p.keys)
+    down = [0] * len(p.keys)
+    up[bot] = 1
+    down[top] = 1
+    for i, j in sorted(covers, key=lambda c: h[c[0]]):
+        up[j] += up[i]
+    for i, j in sorted(covers, key=lambda c: -h[c[1]]):
+        down[i] += down[j]
+    return up, down
+
+
 def _avoiding_paths(n: int) -> tuple[FinitePoset, list[tuple[int, int]],
                                       list[int], list[int]]:
     """NC_n, its covers not labeled n-1, and the path counts along them
@@ -290,7 +324,7 @@ def _avoiding_paths(n: int) -> tuple[FinitePoset, list[tuple[int, int]],
     p = build_nc(n)
     kept = [(i, j) for i, j in p.covers
             if parking_label(p.keys[i], p.keys[j]) != n - 1]
-    up, down = p.path_counts(kept)
+    up, down = path_counts(p, kept)
     return p, kept, up, down
 
 

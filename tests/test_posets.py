@@ -13,13 +13,13 @@ import reference
 from ncpe.builders import build_nc, build_pe_dref, build_pi, distinguished_chain
 from ncpe.labelings import left_modular_labeling
 from ncpe.parking import build_pe_pchn
-from ncpe.posets import FinitePoset, PosetError, _topological_order
+from ncpe.posets import FinitePoset, PosetError
 from reference import (LatticeTables, _extremum_table, _unique_extremum,
                        certify_supersolvable, dict_moebius_to, from_leq_matrix,
                        is_modular_pair, join_table_labels, lattice_tables, leq_matrix,
                        loop_height, lower_covers, modular_columns, moebius_table,
-                       per_row_extremum_table, per_row_tables, row_or_from_covers,
-                       sorted_topological_order, transitive_reduction)
+                       path_counts, per_row_extremum_table, per_row_tables,
+                       row_or_from_covers, transitive_reduction)
 
 # pentagon: bottom < a < c < top, bottom < b < top
 N5 = FinitePoset.from_covers(
@@ -204,21 +204,27 @@ class TestBitsetClosure:
         p = build()
         fast = FinitePoset.from_covers(p.keys, p.covers)
         slow = row_or_from_covers(p.keys, p.covers)
-        assert all(type(row) is int for row in fast.above)
-        assert fast.above == slow.above
+        assert all(type(row) is int for row in fast.up)
+        assert fast.up == slow.up
+        assert (fast.height, fast.by_rank) == (slow.height, slow.by_rank)
         assert np.array_equal(leq_matrix(fast), leq_matrix(slow))
         assert fast.covers == slow.covers
 
-    @pytest.mark.parametrize("build", [lambda: build_nc(6), lambda: build_pe_dref(7),
-                                       lambda: build_pi(5), lambda: build_pe_pchn(6),
-                                       lambda: N5],
-                             ids=["nc6", "pe7", "pi5", "pe-pchn6", "N5"])
-    def test_heap_topological_order(self, build):
+    @pytest.mark.parametrize("build", [b for _, b in POSETS],
+                             ids=[name for name, _ in POSETS])
+    def test_rank_order_and_up_sets(self, build):
+        """The rank order is sorted by (height, index) and is a linear
+        extension, and the up-set of each element is the oracle's row of
+        the relation matrix with element by_rank[r] at bit N - 1 - r."""
         p = build()
         n = len(p.keys)
-        indeg = [len(lc) for lc in lower_covers(p)]
-        assert _topological_order(n, p.upper_covers, indeg) == \
-            sorted_topological_order(n, p.upper_covers, indeg)
+        rank = {v: r for r, v in enumerate(p.by_rank)}
+        assert sorted(p.by_rank) == list(range(n))
+        assert p.by_rank == sorted(range(n), key=lambda v: (p.height[v], v))
+        assert all(rank[i] < rank[j] for i, j in p.covers)
+        leq = leq_matrix(row_or_from_covers(p.keys, p.covers))
+        assert p.up == [sum(1 << (n - 1 - rank[int(j)]) for j in np.flatnonzero(row))
+                        for row in leq]
 
     @staticmethod
     def outcome(build):
@@ -226,7 +232,7 @@ class TestBitsetClosure:
             p = build()
         except PosetError as exc:
             return str(exc)
-        return p.above, p.covers
+        return p.up, p.covers
 
     def assert_same_outcome(self, keys, edges):
         fast = self.outcome(lambda: FinitePoset.from_covers(keys, edges))
@@ -288,9 +294,9 @@ class TestBitsetClosure:
         assert all(any(c is d for d in covers) for c in q.covers)
 
     def test_peak_memory(self):
-        """The closure of PE_9 keeps one bit row per element, N^2 / 8
-        bytes in all, and little beside: traced peak at most 0.2 N^2
-        bytes."""
+        """The closure of PE_9 keeps one up-set per element, at most
+        N^2 / 8 bytes in all, and little beside: traced peak at most
+        0.2 N^2 bytes."""
         p = build_pe_dref(9)
         tracemalloc.start()
         try:
@@ -305,13 +311,13 @@ class TestBitsetClosure:
 class TestChainsAndGrading:
     def test_maximal_chains_pentagon(self):
         assert list(N5.iter_maximal_chains()) == [(0, 1, 3, 4), (0, 2, 4)]
-        assert N5.path_counts(N5.covers)[0][N5.top] == 2
+        assert N5.maximal_chain_count() == path_counts(N5, N5.covers)[0][N5.top] == 2
 
     def test_chain_walkers_and_path_count_agree(self, real_poset):
         p = real_poset
         chains = list(p.iter_maximal_chains())
         assert chains == p.interval_maximal_chains(p.bottom, p.top)
-        assert len(chains) == p.path_counts(p.covers)[0][p.top]
+        assert len(chains) == p.maximal_chain_count() == path_counts(p, p.covers)[0][p.top]
 
     def test_walker_matches_recursion(self, real_poset):
         """Every comparable pair, of N5 and of the real poset."""
@@ -508,7 +514,7 @@ class TestLevelTables:
         monkeypatch.setattr(reference, "_extremum_table", lambda leq, covers, height:
                             per_row_extremum_table(leq, covers,
                                                    np.argsort(-height, kind="stable"), height))
-        slow = lattice_tables(FinitePoset(p.keys, p.above, p.covers))
+        slow = lattice_tables(FinitePoset(p.keys, p.covers, p.height, p.by_rank, p.up))
         assert (fast.is_lattice, fast.witness, fast.reason) == \
             (slow.is_lattice, slow.witness, slow.reason)
 
@@ -523,7 +529,7 @@ class TestLevelTables:
                              ids=[name for name, _ in PARTITION_POSETS])
     def test_height_matches_loop(self, build):
         p = build()
-        assert np.array_equal(p.height, loop_height(p))
+        assert np.array_equal(p.height, loop_height(len(p.keys), p.covers))
 
 
 EMPTY = FinitePoset.from_covers([], [])
