@@ -204,7 +204,7 @@ def per_row_extremum_table(leq: np.ndarray, covers: list[list[int]],
 
 def per_row_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     """The join and meet tables (with their -1 and -2 entries) by
-    `per_row_extremum_table` over the heap topological order."""
+    `per_row_extremum_table` over the least-first topological order."""
     n, h, leq = len(p.keys), np.array(p.height), leq_matrix(p)
     topo = sorted_topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)])
     return (per_row_extremum_table(leq, p.upper_covers, reversed(topo), h),
