@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from typing import Sequence
 
 from .partitions import SetPartition
@@ -108,12 +109,13 @@ def parking_label(x: SetPartition, y: SetPartition) -> int:
     the upper block b (e + 1 is its least element) and y the lower block
     a, and y must be x with blocks a and b merged.  A restricted growth
     string equal to x before e holds no value above b at e, so a < b.
+    The label is 1 + the last k < e with x.code[k] = a, found by
+    scanning back from e - 1 (e > 0: every code starts with block 0).
     """
-    e = next((k for k, (c, d) in enumerate(zip(x.code, y.code)) if c != d), None)
+    e = next(compress(count(), map(operator.ne, x.code, y.code)), None)
     if e is None or y.code != x.merged_code(y.code[e], x.code[e]):
         raise LabelingError(f"cover {x} < {y} is not a two-block merge")
-    a = y.code[e]
-    return 1 + max(k for k in range(e) if x.code[k] == a)
+    return e - x.code[e - 1::-1].index(y.code[e])
 
 
 def parking_labeling(poset: FinitePoset) -> EdgeLabeling:
@@ -231,17 +233,27 @@ def _interval_witness(poset: FinitePoset, labeling: EdgeLabeling,
 
 
 def verify_sn_el(poset: FinitePoset, labeling: EdgeLabeling) -> bool:
-    """Given an EL-labeling on a graded poset of rank r: every maximal
-    chain must carry r distinct labels from [r]."""
+    """Given an EL-labeling on a graded poset of rank r: whether every
+    maximal chain carries each label of [r] once, i.e. none outside [r]
+    and no repeat.  One pass over the covers in rank order; seen[v] holds
+    as int bits the labels on the covers of [0, v].
+    - A maximal chain repeats a label iff some cover (v, w) on it has a
+      label that appears on the chain below v.
+    - In a bounded poset every 0-v chain continues through any cover
+      (v, w) up to 1, so the union of the labels over [0, v] is exactly
+      what the chains through (v, w) can repeat."""
     graded, _ = poset.is_graded()
     if not graded:
         raise PosetError("Sn EL check requires a graded poset")
     r = poset.rank()
-    want = set(range(1, r + 1))
-    for chain in poset.iter_maximal_chains():
-        word = labeling.word(chain)
-        if set(word) != want or len(word) != r:
-            return False
+    by_lower = labeling._by_lower
+    seen = [0] * len(poset.keys)
+    for v in poset.by_rank:
+        below = seen[v]
+        for w, label in by_lower[v].items():
+            if not 0 < label <= r or below >> label & 1:  # range first, then shift
+                return False
+            seen[w] |= below | 1 << label
     return True
 
 

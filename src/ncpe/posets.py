@@ -45,9 +45,11 @@ class LatticeCheck:
 
 class FinitePoset:
     def __init__(self, keys: Sequence[Hashable], covers: list[tuple[int, int]],
-                 height: list[int], by_rank: list[int], up: list[int]):
+                 upper_covers: list[list[int]], height: list[int], by_rank: list[int],
+                 up: list[int]):
         self.keys = tuple(keys)
-        self.covers = covers
+        self.covers = covers  # sorted
+        self.upper_covers = upper_covers  # per element, its upper covers by index
         self.height = height  # longest-chain length from a minimal element
         self.by_rank = by_rank  # the elements by (height, index)
         self.up = up  # reflexive up-sets; the element of rank r has bit N - 1 - r
@@ -81,8 +83,8 @@ class FinitePoset:
         keys = tuple(keys)
         n = len(keys)
         # a dict keeps the given order, often nearly sorted, so the sort is cheap
-        covers = sorted(dict.fromkeys(map(_int_pair, cover_pairs)))
-        ups: list[list[int]] = [[] for _ in range(n)]
+        covers = sorted(dict.fromkeys(cover_pairs))
+        ups: list[list[int]] = [[] for _ in range(n)]  # sorted, as covers are
         unread = [0] * n  # per element, its lower covers not yet leveled
         for i, j in covers:
             if i == j or not (0 <= i < n and 0 <= j < n):
@@ -120,7 +122,7 @@ class FinitePoset:
             v, w, j = bad
             raise PosetError(f"({keys[v]!r}, {keys[j]!r}) is not a cover: "
                              f"{keys[w]!r} lies strictly between")
-        return cls(keys, covers, height, by_rank, up)
+        return cls(keys, covers, ups, height, by_rank, up)
 
     # -- basic structure -------------------------------------------------
 
@@ -129,15 +131,6 @@ class FinitePoset:
 
     def index(self, key: Hashable) -> int:
         return self._index[key]
-
-    @cached_property
-    def upper_covers(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.keys]
-        for i, j in self.covers:
-            out[i].append(j)
-        for lst in out:
-            lst.sort()
-        return out
 
     def above(self, x: int) -> list[int]:
         """The elements strictly above x, in increasing index order: the
@@ -433,9 +426,3 @@ def _has_greatest(members: int, down: list[int], by_rank: list[int]) -> bool:
     its member of greatest rank, its highest bit."""
     return members != 0 and members & down[by_rank[members.bit_length() - 1]] == members
 
-
-def _int_pair(pair: tuple[int, int]) -> tuple[int, int]:
-    """The pair as given if it is two Python ints, else converted (numpy
-    integers do not serialise)."""
-    i, j = pair
-    return pair if type(pair) is tuple and type(i) is type(j) is int else (int(i), int(j))

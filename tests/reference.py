@@ -3,8 +3,9 @@ and the relation matrix of a poset, the row-OR closure and sort-based
 topological order that `from_covers` once used, the height by one step
 per cover, the Moebius recursion by dicts and the full Moebius table of a
 poset, the unique rising maximal chain of an edge labeling, the EL check
-by one chain list per interval, the parking label by its block-set
-rule, the path counts along a subset of the covers, and the chain family
+by one chain list per interval, the S_n EL check by one walk of every
+maximal chain, the parking label by its block-set rule and by a scan of
+the codes, the path counts along a subset of the covers, and the chain family
 of the noncrossing lattice that defines the chain-defined order on PE.
 
 They also hold the checks of the paper's lemmas that no command runs:
@@ -59,7 +60,11 @@ def matrix_poset(keys: Sequence[Hashable], leq: np.ndarray,
     sort on (height, index), and the up-sets as matrix rows."""
     height = loop_height(len(keys), covers)
     by_rank = sorted(range(len(keys)), key=lambda v: (height[v], v))
-    return FinitePoset(keys, covers, height, by_rank, matrix_rows(leq, by_rank))
+    upper_covers: list[list[int]] = [[] for _ in keys]
+    for i, j in sorted(covers):
+        upper_covers[i].append(j)
+    return FinitePoset(keys, covers, upper_covers, height, by_rank,
+                       matrix_rows(leq, by_rank))
 
 
 def matrix_rows(leq: np.ndarray, by_rank: Sequence[int]) -> list[int]:
@@ -276,6 +281,33 @@ def verify_el_by_intervals(p: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
                     "words": sorted(words)[:10],
                 })
     return ELVerdict(True)
+
+
+def verify_sn_el_by_chains(p: FinitePoset, labeling: EdgeLabeling) -> bool:
+    """The S_n EL check by its definition: on a graded poset of rank r,
+    every maximal chain carries r distinct labels from [r].  The oracle
+    of `verify_sn_el`, which passes once over the covers."""
+    graded, _ = p.is_graded()
+    if not graded:
+        raise PosetError("Sn EL check requires a graded poset")
+    r = p.rank()
+    want = set(range(1, r + 1))
+    for chain in p.iter_maximal_chains():
+        word = labeling.word(chain)
+        if set(word) != want or len(word) != r:
+            return False
+    return True
+
+
+def code_scan_parking_label(x: SetPartition, y: SetPartition) -> int:
+    """The parking label read off the codes by a generator over their
+    positions: 1 + the last k before the first differing position e with
+    x.code[k] = y.code[e].  The oracle of `parking_label`."""
+    e = next((k for k, (c, d) in enumerate(zip(x.code, y.code)) if c != d), None)
+    if e is None or y.code != x.merged_code(y.code[e], x.code[e]):
+        raise LabelingError(f"cover {x} < {y} is not a two-block merge")
+    a = y.code[e]
+    return 1 + max(k for k in range(e) if x.code[k] == a)
 
 
 def block_set_parking_label(x: SetPartition, y: SetPartition) -> int:

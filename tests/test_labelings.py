@@ -5,6 +5,8 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpe.builders import (build_nc, build_pe_dref, build_pi, distinguished_chain,
                            enumerate_partitions)
@@ -15,9 +17,10 @@ from ncpe.labelings import (EdgeLabeling, LabelingError, count_decreasing_chains
                             verify_el, verify_sn_el)
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import SetPartition, parse_partition
-from ncpe.posets import FinitePoset
-from reference import (block_set_parking_label, meet_form_labels,
-                       unique_rising_chain, verify_el_by_intervals)
+from ncpe.posets import FinitePoset, PosetError
+from reference import (block_set_parking_label, code_scan_parking_label,
+                       meet_form_labels, unique_rising_chain, verify_el_by_intervals,
+                       verify_sn_el_by_chains)
 
 def label_or_error(label, x, y):
     try:
@@ -125,6 +128,13 @@ class TestParkingLabeling:
         for i, j in p.covers:
             x, y = p.keys[i], p.keys[j]
             assert parking_label(x, y) == block_set_parking_label(x, y), (x, y)
+
+    @pytest.mark.parametrize("build,n", [(build_pi, 5), (build_nc, 7), (build_pe_dref, 8)])
+    def test_equals_code_scan_on_covers(self, build, n):
+        p = build(n)
+        for i, j in p.covers:
+            x, y = p.keys[i], p.keys[j]
+            assert parking_label(x, y) == code_scan_parking_label(x, y), (x, y)
 
     def test_labeling_builds_no_partition(self, monkeypatch):
         p = build_nc(7)
@@ -312,3 +322,80 @@ class TestELOracle:
             "interval": ("0", "1"),
             "rising_chains": [["0", "a", "c", "1"], ["0", "b", "d", "1"]],
             "words": [(1, 2, 3), (2, 3, 4)]}
+
+
+# a diamond given top first, so that index order is not rank order; its
+# covers are 0 < a, a < 1, 0 < b, b < 1
+DIAMOND_COVERS = [(3, 2), (2, 0), (3, 1), (1, 0)]
+DIAMOND = FinitePoset.from_covers(["1", "b", "a", "0"], DIAMOND_COVERS)
+# a chain of rank 3
+CHAIN3_COVERS = [(0, 1), (1, 2), (2, 3)]
+CHAIN3 = FinitePoset.from_covers(["0", "a", "b", "1"], CHAIN3_COVERS)
+SN_GRID = ([(t, n, s) for t in ("nc", "pe-dref", "pe-pchn") for n in range(3, 9)
+            for s in ("left-modular", "parking", "usual")]
+           + [("pi", n, s) for n in range(3, 6) for s in ("parking", "usual")])
+
+
+class TestSnEL:
+    """`verify_sn_el` passes once over the covers; walking every maximal
+    chain must give the same verdict."""
+
+    @pytest.mark.parametrize("target,n,scheme", SN_GRID,
+                             ids=[f"{t}{n}-{s}" for t, n, s in SN_GRID])
+    def test_grid_matches_walk(self, target, n, scheme):
+        p, lam = labeled(target, n, scheme)
+        assert verify_sn_el(p, lam) == verify_sn_el_by_chains(p, lam)
+
+    @pytest.mark.parametrize("target", ["nc", "pe-dref", "pe-pchn"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_labelings_match_walk(self, target, data):
+        """The left-modular labels renamed by a permutation of [r] (an
+        S_n EL-labeling still), then a few covers relabeled from
+        [-1, r + 1]."""
+        n = data.draw(st.integers(3, 5))
+        p, lam = labeled(target, n, "left-modular")
+        r = p.rank()
+        rename = data.draw(st.permutations(range(1, r + 1)))
+        labels = {e: rename[label - 1] for e, label in lam.labels.items()}
+        labels.update(data.draw(st.dictionaries(st.sampled_from(p.covers),
+                                                st.integers(-1, r + 1), max_size=3)))
+        bad = EdgeLabeling(p, labels)
+        assert verify_sn_el(p, bad) == verify_sn_el_by_chains(p, bad)
+
+    @pytest.mark.parametrize("label", [0, 4, -1, -10 ** 30, 10 ** 30],
+                             ids=["zero", "r+1", "negative", "very-negative", "huge"])
+    def test_label_outside_rank_range(self, label):
+        p, lam = labeled("pe-dref", 4, "left-modular")
+        assert p.rank() == 3
+        for edge in (p.covers[0], p.covers[-1]):
+            bad = EdgeLabeling(p, {**lam.labels, edge: label})
+            assert verify_sn_el(p, bad) is False
+            assert verify_sn_el_by_chains(p, bad) is False
+
+    def test_diamond_one_chain_repeats(self):
+        fine = EdgeLabeling(DIAMOND, dict(zip(DIAMOND_COVERS, (1, 2, 2, 1))))
+        assert verify_sn_el(DIAMOND, fine) is True
+        repeats = EdgeLabeling(DIAMOND, dict(zip(DIAMOND_COVERS, (1, 2, 2, 2))))
+        assert verify_sn_el(DIAMOND, repeats) is False
+        assert verify_sn_el_by_chains(DIAMOND, repeats) is False
+
+    def test_repeat_two_covers_apart(self):
+        lam = EdgeLabeling(CHAIN3, dict(zip(CHAIN3_COVERS, (1, 2, 1))))
+        assert verify_sn_el(CHAIN3, lam) is False
+        assert verify_sn_el(CHAIN3, EdgeLabeling(CHAIN3, dict(zip(CHAIN3_COVERS, (3, 1, 2)))))
+
+    def test_not_graded_raises(self):
+        lam = pentagon_labeling(*N5_WORDS["el"])
+        with pytest.raises(PosetError, match="graded"):
+            verify_sn_el(N5, lam)
+
+    def test_reads_no_chain(self, monkeypatch):
+        p, lam = labeled("pe-dref", 6, "left-modular")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_sn_el walked a chain")
+
+        monkeypatch.setattr(FinitePoset, "iter_maximal_chains", forbidden)
+        monkeypatch.setattr(FinitePoset, "_saturated_chains", forbidden)
+        assert verify_sn_el(p, lam) is True

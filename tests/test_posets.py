@@ -232,15 +232,12 @@ class TestBitsetClosure:
             p = build()
         except PosetError as exc:
             return str(exc)
-        return p.up, p.covers
+        return p.up, p.covers, p.upper_covers
 
     def assert_same_outcome(self, keys, edges):
         fast = self.outcome(lambda: FinitePoset.from_covers(keys, edges))
         slow = self.outcome(lambda: row_or_from_covers(keys, edges))
-        if isinstance(slow, str):
-            assert fast == slow
-        else:
-            assert fast[0] == slow[0] and fast[1] == slow[1]
+        assert fast == slow
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65])
     @given(data=st.data())
@@ -278,15 +275,6 @@ class TestBitsetClosure:
             row_or_from_covers(keys, edges)
         assert str(fast.value) == str(slow.value) == \
             "('b', 'd') is not a cover: 'c' lies strictly between"
-
-    def test_numpy_pairs_become_python_ints(self):
-        p = divisors_poset(60)
-        given_pairs = [(np.int64(i), np.int64(j)) for i, j in p.covers]
-        for pairs in (given_pairs, np.array(p.covers, dtype=np.int64)):
-            q = FinitePoset.from_covers(p.keys, pairs)
-            assert q.covers == p.covers
-            assert all(type(i) is int and type(j) is int for i, j in q.covers)
-            assert q.to_json() == p.to_json()
 
     def test_python_pairs_kept(self):
         covers = list(reversed(M3.covers))
@@ -514,7 +502,8 @@ class TestLevelTables:
         monkeypatch.setattr(reference, "_extremum_table", lambda leq, covers, height:
                             per_row_extremum_table(leq, covers,
                                                    np.argsort(-height, kind="stable"), height))
-        slow = lattice_tables(FinitePoset(p.keys, p.covers, p.height, p.by_rank, p.up))
+        slow = lattice_tables(FinitePoset(p.keys, p.covers, p.upper_covers, p.height,
+                                          p.by_rank, p.up))
         assert (fast.is_lattice, fast.witness, fast.reason) == \
             (slow.is_lattice, slow.witness, slow.reason)
 
