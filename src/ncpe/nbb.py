@@ -7,12 +7,11 @@ when each of its members has a strictly smaller atom below the set's
 join; sets with no nonempty BB subset (NBB) whose join is x are the NBB
 bases for x, and their signed count is the Moebius value from bottom to x.
 
-Every subset of an NBB set is NBB, so one search finds them all: it walks
-the atoms below x in rank order and adds an atom only when no subset
-containing it is BB.  Atom sets are int bitmasks over the atoms below x,
-the join of every visited set is memoised by mask, and each level of the
-search filters its candidate atoms once, against the subsets that hold
-the atom last added.
+The NBB bases of the top hold one atom of each rank, so one search finds
+them rank by rank, adding an atom only when no subset containing it is
+BB; joins are memoised by atom bitmask, and each level filters its
+candidates once.  The same search without ranks, for any element, is
+the test oracle in `tests/reference.py`.
 
 The bases for the full partition correspond to noncrossing trees on [n];
 the tree model also classifies which bases survive the passage from the
@@ -21,11 +20,12 @@ noncrossing lattice to its PE sublattice.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Literal, NamedTuple
 
-from .builders import BuildError, is_pe_member, pe_join
+from .builders import BuildError, pe_join
 from .partitions import SetPartition, nc_join
 
 Ambient = Literal["nc", "pe"]
@@ -109,33 +109,36 @@ def check_nbb_size(n: int, ambient: Ambient) -> None:
                          f"{low} <= n <= {NBB_MAX_N}, got n={n}")
 
 
-def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...]]:
-    """All NBB bases for x: the atom sets that join to x and have no
-    nonempty BB subset, as rank-sorted atom tuples in lexicographic
-    order of their (rank, i, j) key sequences.
+@lru_cache(maxsize=None)
+def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...], ...]:
+    """All NBB bases for the full partition, in lexicographic order of
+    their atoms' (rank, i, j) keys.
 
-    The search walks the atoms below x in that order and adds an atom to
-    the chosen set only if no subset that contains the new atom is BB.
-    Every subset of an NBB set is NBB, so this keeps exactly the NBB
-    sets.  A set of atoms is a bitmask over the atoms below x, bit k for
-    the k-th; the joins of all visited sets are memoised by mask, so
-    each set is joined and tested once.  The masks of the chosen set's
-    subsets are kept as a list, doubled when an atom is pushed.  An atom
-    that fails against some subset of the chosen set fails against every
-    superset too, so each level filters its candidates once: a child
-    level tests the atoms that survived at its parent against the new
-    subsets alone, those that hold the atom just pushed.
+    Each base holds exactly one atom of each rank 1, ..., n-1 (Blass and
+    Sagan, 'Moebius functions of lattices', 1997; two atoms of one rank
+    join above an atom of smaller rank, so they are BB), so the search
+    descends rank by rank: to a set holding ranks 1..d it adds only atoms
+    of rank d + 1 such that no subset containing the new atom is BB.
+    Every subset of an NBB set is NBB, so the sets of n - 1 atoms that
+    join to the top are exactly the bases.  `TestOracle` checks them
+    against the search without ranks for every n up to the cap.
+
+    Atom sets are bitmasks over the ambient's atoms in rank order, and
+    the join of every visited set is memoised by mask, so each set is
+    joined and tested once.  An atom that fails against a subset of the
+    chosen set fails against every superset, so each level filters its
+    candidates once: a child tests the higher-ranked survivors of its
+    parent against the new subsets alone, those holding the atom pushed.
     """
-    check_nbb_size(n, ambient)
-    if (x.n != n or not x.is_noncrossing
-            or (ambient == "pe" and not is_pe_member(x))):
-        raise BuildError(f"{x} is not in the {ambient} ambient for n={n}")
+    check_nbb_size(n, ambient)  # before SetPartition.top rejects n < 1
     join_op = nc_join if ambient == "nc" else pe_join
-    below = [a for a in ranked_atoms(n, ambient) if x.same_block(a.i, a.j)]
-    parts = [a.partition(n) for a in below]
+    pool = ranked_atoms(n, ambient)
+    atoms, ranks = list(pool), list(pool.values())
+    parts = [a.partition(n) for a in atoms]
+    top = SetPartition.top(n)
     # join of every visited atom set by mask, or None for a BB set
     joins: dict[int, SetPartition | None] = {0: SetPartition.bottom(n)}
-    chosen: list[int] = []  # indices into `below`
+    chosen: list[int] = []  # indices into `atoms`, one of each rank 1..d
     bases: list[tuple[Atom, ...]] = []
 
     def survivors(candidates: list[int], subsets: list[int]) -> list[int]:
@@ -148,11 +151,11 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
                 join = joins.get(s, _MISS)
                 if join is _MISS:
                     join = join_op(joins[sub], parts[k])
-                    # a singleton is never BB.  `below` is in rank order and
+                    # a singleton is never BB.  `atoms` is in rank order and
                     # the verdict depends only on the join and the set's
                     # least-ranked member, its lowest bit, so that atom stands
                     # for the set
-                    if sub and is_bb([below[(s & -s).bit_length() - 1]], n, ambient, join):
+                    if sub and is_bb([atoms[(s & -s).bit_length() - 1]], n, ambient, join):
                         join = None
                     joins[s] = join
                 if join is None:
@@ -162,25 +165,22 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
         return out
 
     def walk(mask: int, subsets: list[int], candidates: list[int]) -> None:
-        if joins[mask] == x:
-            bases.append(tuple(below[i] for i in chosen))
-        for pos, k in enumerate(candidates):
+        d = len(chosen)  # `candidates` are survivors of rank above d, in order
+        if d == n - 1:
+            if joins[mask] == top:
+                bases.append(tuple(atoms[i] for i in chosen))
+            return
+        end = bisect_left(candidates, bisect_right(ranks, d + 1))
+        higher = candidates[end:]
+        for k in candidates[:end]:
             bit = 1 << k
             new = [sub | bit for sub in subsets]
             chosen.append(k)
-            walk(mask | bit, subsets + new, survivors(candidates[pos + 1:], new))
+            walk(mask | bit, subsets + new, survivors(higher, new))
             chosen.pop()
 
-    walk(0, [0], survivors(list(range(len(below))), [0]))
-    return bases
-
-
-@lru_cache(maxsize=None)
-def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...], ...]:
-    """All NBB bases for the full partition, in the order of `nbb_bases`.
-    Each base holds exactly one atom of every rank."""
-    check_nbb_size(n, ambient)  # before SetPartition.top rejects n < 1
-    return tuple(nbb_bases(n, ambient, SetPartition.top(n)))
+    walk(0, [0], survivors(list(range(len(atoms))), [0]))
+    return tuple(bases)
 
 
 def moebius_via_nbb(n: int, ambient: Ambient) -> int:

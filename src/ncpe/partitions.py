@@ -73,10 +73,6 @@ class SetPartition:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise PartitionError(f"indices ({i}, {j}) out of range for n={self.n}")
 
-    def same_block(self, i: int, j: int) -> bool:
-        self._check_range(i, j)
-        return self.code[i - 1] == self.code[j - 1]
-
     def merge(self, i: int, j: int) -> "SetPartition":
         """The partition with the blocks of i and j merged into one."""
         self._check_range(i, j)

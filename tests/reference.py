@@ -12,8 +12,9 @@ They also hold the checks of the paper's lemmas that no command runs:
 parking functions and chain words, the removed covers and their
 dominating witnesses, restriction EL on the chain-defined order, the
 PE meet, modular pairs and supersolvability, the split of a base tree
-at its root edge, the iterated join of an atom set, and the meet form
-of the left-modular labeling.
+at its root edge, the iterated join of an atom set, the NBB bases of
+any element by a search that ignores ranks, and the meet form of the
+left-modular labeling.
 
 The join and meet tables, filled one height level at a time and one
 row at a time, with the lattice test, modular pairs and the labels read
@@ -38,7 +39,8 @@ from ncpe.builders import (BuildError, _require_pe, build_nc, build_pe_dref,
 from ncpe.labelings import (EdgeLabeling, ELVerdict, LabelingError,
                             count_decreasing_chains, is_rising,
                             left_modular_labeling, parking_label, verify_el)
-from ncpe.nbb import Atom, NCTree
+from ncpe.nbb import (_MISS, Ambient, Atom, NCTree, check_nbb_size, is_bb,
+                      ranked_atoms)
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import (PartitionError, SetPartition, _from_labels, code_blocks,
                              nc_join)
@@ -541,7 +543,7 @@ def labelled_pe_join(x: SetPartition, y: SetPartition) -> SetPartition:
     the block of 1 when 1 and n-1 share a block."""
     n = x.n
     w = labelled_nc_join(x, y)
-    if (n,) in w.blocks and w.same_block(1, n - 1):
+    if (n,) in w.blocks and same_block(w, 1, n - 1):
         return w.merge(1, n)
     return w
 
@@ -783,6 +785,11 @@ def _unique_extremum(mask: np.ndarray, height: np.ndarray,
 
 # -- atoms and base trees ---------------------------------------------------
 
+def same_block(x: SetPartition, i: int, j: int) -> bool:
+    """Whether i and j lie in one block of x."""
+    return x.code[i - 1] == x.code[j - 1]
+
+
 def ambient_join(atoms: Iterable[Atom], n: int, ambient: str) -> SetPartition:
     """The join of an atom set in the nc or pe ambient, one atom at a time."""
     join_op = nc_join if ambient == "nc" else pe_join
@@ -790,6 +797,74 @@ def ambient_join(atoms: Iterable[Atom], n: int, ambient: str) -> SetPartition:
     for a in atoms:
         result = join_op(result, a.partition(n))
     return result
+
+
+def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...]]:
+    """All NBB bases for x: the atom sets that join to x and have no
+    nonempty BB subset, as rank-sorted atom tuples in lexicographic
+    order of their (rank, i, j) key sequences.  The oracle of the search
+    by ranks in `enumerate_nbb_bases_top`: this one assumes nothing of
+    how many atoms of each rank a base holds.
+
+    The search walks the atoms below x in that order and adds an atom to
+    the chosen set only if no subset that contains the new atom is BB.
+    Every subset of an NBB set is NBB, so this keeps exactly the NBB
+    sets.  A set of atoms is a bitmask over the atoms below x, bit k for
+    the k-th; the joins of all visited sets are memoised by mask, so
+    each set is joined and tested once.  The masks of the chosen set's
+    subsets are kept as a list, doubled when an atom is pushed.  An atom
+    that fails against some subset of the chosen set fails against every
+    superset too, so each level filters its candidates once: a child
+    level tests the atoms that survived at its parent against the new
+    subsets alone, those that hold the atom just pushed.
+    """
+    check_nbb_size(n, ambient)
+    if (x.n != n or not x.is_noncrossing
+            or (ambient == "pe" and not is_pe_member(x))):
+        raise BuildError(f"{x} is not in the {ambient} ambient for n={n}")
+    join_op = nc_join if ambient == "nc" else pe_join
+    below = [a for a in ranked_atoms(n, ambient) if same_block(x, a.i, a.j)]
+    parts = [a.partition(n) for a in below]
+    # join of every visited atom set by mask, or None for a BB set
+    joins: dict[int, SetPartition | None] = {0: SetPartition.bottom(n)}
+    chosen: list[int] = []  # indices into `below`
+    bases: list[tuple[Atom, ...]] = []
+
+    def survivors(candidates: list[int], subsets: list[int]) -> list[int]:
+        """The candidates k such that no mask in `subsets` plus bit k is BB."""
+        out = []
+        for k in candidates:
+            bit = 1 << k
+            for sub in subsets:
+                s = sub | bit
+                join = joins.get(s, _MISS)
+                if join is _MISS:
+                    join = join_op(joins[sub], parts[k])
+                    # a singleton is never BB.  `below` is in rank order and
+                    # the verdict depends only on the join and the set's
+                    # least-ranked member, its lowest bit, so that atom stands
+                    # for the set
+                    if sub and is_bb([below[(s & -s).bit_length() - 1]], n, ambient, join):
+                        join = None
+                    joins[s] = join
+                if join is None:
+                    break
+            else:
+                out.append(k)
+        return out
+
+    def walk(mask: int, subsets: list[int], candidates: list[int]) -> None:
+        if joins[mask] == x:
+            bases.append(tuple(below[i] for i in chosen))
+        for pos, k in enumerate(candidates):
+            bit = 1 << k
+            new = [sub | bit for sub in subsets]
+            chosen.append(k)
+            walk(mask | bit, subsets + new, survivors(candidates[pos + 1:], new))
+            chosen.pop()
+
+    walk(0, [0], survivors(list(range(len(below))), [0]))
+    return bases
 
 
 def split_at_root_edge(tree: NCTree) -> tuple[set[int], set[int]]:

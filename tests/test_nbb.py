@@ -1,5 +1,6 @@
-"""NBB bases for the top element and for arbitrary elements, checked
-against a brute-force oracle; the noncrossing-tree model, and the
+"""NBB bases for the top element, checked against a brute-force oracle
+and against the search without ranks in `reference.py`, which also finds
+the bases of arbitrary elements; the noncrossing-tree model, and the
 discard classification."""
 
 from itertools import combinations
@@ -8,12 +9,13 @@ import pytest
 
 from ncpe.builders import (BuildError, build_nc, build_pe_dref, catalan,
                            enumerate_noncrossing, pe_join, pe_members)
-from ncpe.nbb import (Atom, atom_rank, base_to_tree, classification_census,
-                      classify_base, enumerate_nbb_bases_top, is_bb,
-                      moebius_via_nbb, nbb_bases, nc_atoms, pe_atoms,
-                      ranked_atoms)
+from ncpe.nbb import (NBB_MAX_N, Atom, atom_rank, base_to_tree,
+                      classification_census, classify_base,
+                      enumerate_nbb_bases_top, is_bb, moebius_via_nbb,
+                      nc_atoms, pe_atoms, ranked_atoms)
 from ncpe.partitions import SetPartition, nc_closure, nc_join, parse_partition
-from reference import ambient_join, moebius_table, split_at_root_edge
+from reference import (ambient_join, moebius_table, nbb_bases, same_block,
+                       split_at_root_edge)
 
 
 # -- brute-force oracle: the NBB definition checked subset by subset ---------
@@ -64,7 +66,7 @@ def oracle_bases(n, ambient, x):
             return
         dfs(rank_idx + 1)  # no atom of this rank
         for a in groups[rank_idx]:
-            if x.same_block(a.i, a.j) and not any(atoms_cross(a, b) for b in chosen):
+            if same_block(x, a.i, a.j) and not any(atoms_cross(a, b) for b in chosen):
                 chosen.append(a)
                 dfs(rank_idx + 1)
                 chosen.pop()
@@ -133,7 +135,7 @@ class TestBB:
         for size in (2, 3):
             for combo in combinations(pool, size):
                 join = ambient_join(combo, n, ambient)
-                want = all(any(r < pool[d] and join.same_block(a.i, a.j)
+                want = all(any(r < pool[d] and same_block(join, a.i, a.j)
                                for a, r in pool.items()) for d in combo)
                 for atoms in (combo, list(combo), set(combo)):
                     assert is_bb(atoms, n, ambient, join) == want
@@ -156,8 +158,12 @@ class TestBases:
         assert len(bases) == catalan(n - 1) - 2 * catalan(n - 2)
 
     def test_one_atom_per_rank(self):
-        for base in enumerate_nbb_bases_top(5, "nc"):
-            assert sorted(atom_rank(a, 5) for a in base) == [1, 2, 3, 4]
+        """Every base of the top holds one atom of each rank 1..n-1, in
+        rank order, at every n up to the cap in both ambients."""
+        for ambient, low in (("nc", 1), ("pe", 3)):
+            for n in range(low, NBB_MAX_N + 1):
+                for base in enumerate_nbb_bases_top(n, ambient):
+                    assert [atom_rank(a, n) for a in base] == list(range(1, n))
 
     def test_one_closure_per_join(self, monkeypatch):
         """Each memoised join is closed once: beyond the joins, only the
@@ -167,7 +173,8 @@ class TestBases:
                             lambda x: closures.append(x) or nc_closure(x))
         monkeypatch.setattr("ncpe.nbb.nc_join",
                             lambda x, y: joins.append(x) or nc_join(x, y))
-        assert len(nbb_bases(7, "nc", SetPartition.top(7))) == catalan(6)
+        # the undecorated search, so the joins run in this test
+        assert len(enumerate_nbb_bases_top.__wrapped__(7, "nc")) == catalan(6)
         assert len(closures) <= len(joins) + len(nc_atoms(7)) + 2
 
     def test_caps(self):
@@ -274,6 +281,14 @@ class TestOracle:
     def test_top_bases_match_oracle(self, ambient, n):
         assert enumerate_nbb_bases_top(n, ambient) == \
             tuple(oracle_bases(n, ambient, SetPartition.top(n)))
+
+    @pytest.mark.parametrize("ambient, n", [("nc", n) for n in range(1, NBB_MAX_N + 1)]
+                             + [("pe", n) for n in range(3, NBB_MAX_N + 1)])
+    def test_top_bases_match_rank_free_search(self, ambient, n):
+        """The search by ranks finds the bases that the search without
+        ranks finds, in the same order, at every n up to the cap."""
+        assert enumerate_nbb_bases_top(n, ambient) == \
+            tuple(nbb_bases(n, ambient, SetPartition.top(n)))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_nc_element_matches_oracle(self, n):

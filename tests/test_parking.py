@@ -15,7 +15,7 @@ from ncpe.posets import PosetError
 from reference import (avoiding_chain_count, build_D, chain_family_order,
                        chain_parking_word, dominating_witness,
                        is_parking_function, iter_all_chains, leq_matrix,
-                       removed_covers, verify_restriction_el)
+                       removed_covers, same_block, verify_restriction_el)
 
 ADVERTISED_N = range(PCHN_MIN_N, PCHN_MAX_N + 1)
 
@@ -194,7 +194,7 @@ class TestRestrictionEL:
         for x, y in removed_covers(n):
             y_prime = dominating_witness(x, y, lam)
             # the witness merges the block of 1 with the singleton {n}
-            assert y_prime.same_block(1, n)
+            assert same_block(y_prime, 1, n)
             assert x.leq_dref(y_prime)
             edge = (pe.index(x), pe.index(y_prime))
             assert lam.labels[edge] == 1

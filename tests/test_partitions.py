@@ -90,11 +90,11 @@ class TestOrder:
         assert SetPartition.bottom(5).rank() == 0
         assert SetPartition.top(5).rank() == 4
 
-    def test_same_block(self):
+    def test_merge_rejects_out_of_range(self):
         x = parse_partition("14|23")
-        assert x.same_block(1, 4) and not x.same_block(1, 2)
+        assert x.merge(1, 4) is x
         with pytest.raises(PartitionError):
-            x.same_block(0, 1)
+            x.merge(0, 1)
 
 
 class TestNoncrossing:
