@@ -214,13 +214,22 @@ def mobius(n: int, target: str, method: str, as_json: bool) -> None:
 
     'nbb' sums signed NBB bases and needs a lattice, so it is rejected
     for pe-pchn; 'chains' counts weakly decreasing maximal chains of the
-    left-modular labeling.  Exit 1 if methods or closed form disagree.
+    left-modular labeling.  'all' runs to n = 9: at n = 10 its chains
+    method would walk 66 M (PE) or 10^8 (NC) maximal chains, so use
+    'recursion' or 'nbb' there.  Exit 1 if methods or closed form disagree.
     """
     started = time.monotonic()
     if method == "nbb" and target == "pe-pchn":
         raise click.UsageError("the NBB method needs a lattice; pe-pchn is not one")
     ambient = "nc" if target == "nc" else "pe"
     use_nbb = method in ("nbb", "all") and target != "pe-pchn"
+    if use_nbb and method == "all":
+        low = 1 if ambient == "nc" else 3
+        if not low <= n <= 9:
+            raise click.UsageError(
+                f"--method all supports {low} <= n <= 9, got n={n}; at n = 10 its "
+                f"chains method would walk all {'10^8' if ambient == 'nc' else '66 M'} "
+                "maximal chains, so use --method recursion or --method nbb there")
     if use_nbb:
         check_nbb_size(n, ambient)
     poset, dref = _build(target, n)

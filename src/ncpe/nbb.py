@@ -9,9 +9,9 @@ bases for x, and their signed count is the Moebius value from bottom to x.
 
 The NBB bases of the top hold one atom of each rank, so one search finds
 them rank by rank, adding an atom only when no subset containing it is
-BB; joins are memoised by atom bitmask, and each level filters its
-candidates once.  The same search without ranks, for any element, is
-the test oracle in `tests/reference.py`.
+BB; joins are memoised by atom bitmask and by (partition, atom) pair,
+and each level filters its candidates once.  The same search without
+ranks, for any element, is the test oracle in `tests/reference.py`.
 
 The bases for the full partition correspond to noncrossing trees on [n];
 the tree model also classifies which bases survive the passage from the
@@ -30,7 +30,7 @@ from .partitions import SetPartition, nc_join
 
 Ambient = Literal["nc", "pe"]
 
-NBB_MAX_N = 9
+NBB_MAX_N = 10
 
 _MISS = object()  # memo miss, told apart by identity
 
@@ -125,8 +125,11 @@ def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...],
 
     Atom sets are bitmasks over the ambient's atoms in rank order, and
     the join of every visited set is memoised by mask, so each set is
-    joined and tested once.  An atom that fails against a subset of the
-    chosen set fails against every superset, so each level filters its
+    tested once.  Many sets share a join, so joins are also memoised by
+    (partition code, atom index), and each such pair is joined once;
+    that memo holds raw joins, since the BB verdict also depends on the
+    set's least atom.  An atom that fails against a subset of the chosen
+    set fails against every superset, so each level filters its
     candidates once: a child tests the higher-ranked survivors of its
     parent against the new subsets alone, those holding the atom pushed.
     """
@@ -138,6 +141,8 @@ def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...],
     top = SetPartition.top(n)
     # join of every visited atom set by mask, or None for a BB set
     joins: dict[int, SetPartition | None] = {0: SetPartition.bottom(n)}
+    # join of a partition, by code, with the atom of index k
+    pair_joins: dict[tuple[tuple[int, ...], int], SetPartition] = {}
     chosen: list[int] = []  # indices into `atoms`, one of each rank 1..d
     bases: list[tuple[Atom, ...]] = []
 
@@ -150,7 +155,11 @@ def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...],
                 s = sub | bit
                 join = joins.get(s, _MISS)
                 if join is _MISS:
-                    join = join_op(joins[sub], parts[k])
+                    below = joins[sub]
+                    key = (below.code, k)
+                    join = pair_joins.get(key)
+                    if join is None:
+                        join = pair_joins[key] = join_op(below, parts[k])
                     # a singleton is never BB.  `atoms` is in rank order and
                     # the verdict depends only on the join and the set's
                     # least-ranked member, its lowest bit, so that atom stands

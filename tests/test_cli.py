@@ -189,15 +189,32 @@ class TestMobius:
     @pytest.mark.parametrize("method", ["nbb", "all"])
     def test_nbb_cap_checked_before_build(self, runner, monkeypatch,
                                           target, method):
+        """NBB runs to n = 10, and `--method all` to n = 9 (below)."""
         def no_build(target, n):
             raise AssertionError("poset built before the NBB cap check")
 
         monkeypatch.setattr("ncpe.cli._build", no_build)
         result = runner.invoke(
-            main, ["mobius", "-n", "10", "--target", target,
+            main, ["mobius", "-n", "11", "--target", target,
                    "--method", method])
         assert result.exit_code == 2
-        assert "n <= 9" in result.output
+        assert ("n <= 10" if method == "nbb" else "n <= 9") in result.output
+
+    @pytest.mark.parametrize("target, walk", [("nc", "10^8"), ("pe-dref", "66 M")])
+    def test_all_methods_refused_at_10_before_build(self, runner, monkeypatch,
+                                                    target, walk):
+        """At n = 10 the NBB cap admits `--method all`, but its chains
+        method would walk every maximal chain, so it is refused first."""
+        def no_work(*_):
+            raise AssertionError("work started before the --method all check")
+
+        monkeypatch.setattr("ncpe.cli._build", no_work)
+        monkeypatch.setattr("ncpe.cli.moebius_via_nbb", no_work)
+        result = runner.invoke(main, ["mobius", "-n", "10", "--target", target])
+        assert result.exit_code == 2
+        assert "n <= 9, got n=10" in result.output
+        assert f"walk all {walk} maximal chains" in result.output
+        assert "--method recursion or --method nbb" in result.output
 
 
 class TestNbbChainsLabel:
@@ -319,7 +336,8 @@ CAPS = [
     ("verify", 3, 10), ("verify --target nc", 1, 10),
     ("verify --target pe-pchn", 3, 8),
     ("mobius", 3, 9), ("mobius --target nc", 1, 9), ("mobius --target pe-pchn", 3, 8),
-    ("nbb", 1, 9), ("nbb --ambient pe", 3, 9),
+    ("mobius --method nbb", 3, 10), ("mobius --target nc --method nbb", 1, 10),
+    ("nbb", 1, 10), ("nbb --ambient pe", 3, 10),
     ("chains", 3, 8), ("chains --words", 3, 8),
     ("label", 3, 10), ("label --target nc", 1, 10), ("label --target pe-pchn", 3, 8),
     ("probe-intervals", 3, 10),

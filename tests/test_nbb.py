@@ -177,9 +177,24 @@ class TestBases:
         assert len(enumerate_nbb_bases_top.__wrapped__(7, "nc")) == catalan(6)
         assert len(closures) <= len(joins) + len(nc_atoms(7)) + 2
 
+    @pytest.mark.parametrize("ambient, join_op", [("nc", nc_join), ("pe", pe_join)])
+    def test_each_pair_joined_once(self, monkeypatch, ambient, join_op):
+        """Many atom sets share a join, but the search joins each
+        (partition, atom) pair once."""
+        pairs = []
+        monkeypatch.setattr(f"ncpe.nbb.{join_op.__name__}",
+                            lambda x, y: pairs.append((x.code, y.code)) or join_op(x, y))
+        # the undecorated search, so the joins run in this test
+        bases = enumerate_nbb_bases_top.__wrapped__(7, ambient)
+        assert bases == enumerate_nbb_bases_top(7, ambient)
+        assert pairs and len(set(pairs)) == len(pairs)
+
     def test_caps(self):
-        with pytest.raises(BuildError):
-            enumerate_nbb_bases_top(10, "nc")
+        assert NBB_MAX_N == 10
+        with pytest.raises(BuildError, match="n <= 10"):
+            enumerate_nbb_bases_top(11, "nc")
+        with pytest.raises(BuildError, match="n <= 10"):
+            enumerate_nbb_bases_top(11, "pe")
         with pytest.raises(BuildError):
             enumerate_nbb_bases_top(2, "pe")
 
