@@ -232,7 +232,8 @@ def mobius(n: int, target: str, method: str, as_json: bool) -> None:
                 "maximal chains, so use --method recursion or --method nbb there")
     if use_nbb:
         check_nbb_size(n, ambient)
-    poset, dref = _build(target, n)
+    if method != "nbb":  # the NBB search needs no poset
+        poset, dref = _build(target, n)
     values: dict[str, int] = {}
     if method in ("recursion", "all"):
         values["recursion"] = poset.moebius_bottom_top()

@@ -8,10 +8,12 @@ join; sets with no nonempty BB subset (NBB) whose join is x are the NBB
 bases for x, and their signed count is the Moebius value from bottom to x.
 
 The NBB bases of the top hold one atom of each rank, so one search finds
-them rank by rank, adding an atom only when no subset containing it is
-BB; joins are memoised by atom bitmask and by (partition, atom) pair,
-and each level filters its candidates once.  The same search without
-ranks, for any element, is the test oracle in `tests/reference.py`.
+them rank by rank.  An NBB set with one atom of each rank 1..d stays NBB
+with an atom of rank d + 1 added iff none of its d rank suffixes (the
+members of rank >= t, for t = 1..d) is BB with that atom added, so each
+step makes d tests, not one per subset; joins are memoised by partition
+and the blocks the atom merges.  The same search without ranks, for any
+element, is the test oracle in `tests/reference.py`.
 
 The bases for the full partition correspond to noncrossing trees on [n];
 the tree model also classifies which bases survive the passage from the
@@ -31,8 +33,6 @@ from .partitions import SetPartition, nc_join
 Ambient = Literal["nc", "pe"]
 
 NBB_MAX_N = 10
-
-_MISS = object()  # memo miss, told apart by identity
 
 
 class Atom(NamedTuple):
@@ -117,21 +117,28 @@ def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...],
     Each base holds exactly one atom of each rank 1, ..., n-1 (Blass and
     Sagan, 'Moebius functions of lattices', 1997; two atoms of one rank
     join above an atom of smaller rank, so they are BB), so the search
-    descends rank by rank: to a set holding ranks 1..d it adds only atoms
-    of rank d + 1 such that no subset containing the new atom is BB.
-    Every subset of an NBB set is NBB, so the sets of n - 1 atoms that
-    join to the top are exactly the bases.  `TestOracle` checks them
-    against the search without ranks for every n up to the cap.
+    descends rank by rank, keeping a set S = chosen[0:d] with one atom
+    of each rank 1..d, and adds an atom k of rank d + 1 only if S + k is
+    still NBB.  Every subset of an NBB set is NBB, so the sets of n - 1
+    atoms that join to the top are exactly the bases.  `TestOracle`
+    checks them against the search without ranks for every n up to the
+    cap.
 
-    Atom sets are bitmasks over the ambient's atoms in rank order, and
-    the join of every visited set is memoised by mask, so each set is
-    tested once.  Many sets share a join, so joins are also memoised by
-    (partition code, atom index), and each such pair is joined once;
-    that memo holds raw joins, since the BB verdict also depends on the
-    set's least atom.  An atom that fails against a subset of the chosen
-    set fails against every superset, so each level filters its
-    candidates once: a child tests the higher-ranked survivors of its
-    parent against the new subsets alone, those holding the atom pushed.
+    Lemma: if S is NBB, then S + k is NBB iff no rank suffix
+    chosen[t:d] + k is BB, so d tests decide it, not 2^d.  Proof: take a
+    nonempty BB subset T of S + k.  It holds k, since S is NBB; let m be
+    its least-ranked member, chosen[t] (T = {k} is never BB).  T lies in
+    the suffix U = chosen[t:d] + k, whose least member is also m, and
+    join(T) <= join(U).  A set is BB iff some atom ranked below its
+    least member lies below its join (`is_bb`), and the atom that makes
+    T so lies below join(U) too, so U is BB.
+
+    So `walk` carries the joins of the suffixes chosen[t:d] and tests
+    each atom of rank d + 1 against them; a child gets each suffix join
+    joined with the atom pushed, then that atom alone.  Many suffixes
+    share a join, and the join of x with the atom {i, j} depends only on
+    x and on the blocks of x that hold i and j, so joins are memoised by
+    (code of x, block of i, block of j), and each is computed once.
     """
     check_nbb_size(n, ambient)  # before SetPartition.top rejects n < 1
     join_op = nc_join if ambient == "nc" else pe_join
@@ -139,56 +146,37 @@ def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...],
     atoms, ranks = list(pool), list(pool.values())
     parts = [a.partition(n) for a in atoms]
     top = SetPartition.top(n)
-    # join of every visited atom set by mask, or None for a BB set
-    joins: dict[int, SetPartition | None] = {0: SetPartition.bottom(n)}
-    # join of a partition, by code, with the atom of index k
-    pair_joins: dict[tuple[tuple[int, ...], int], SetPartition] = {}
+    # join of a partition with an atom, by (code, block of i, block of j)
+    pair_joins: dict[tuple[tuple[int, ...], int, int], SetPartition] = {}
     chosen: list[int] = []  # indices into `atoms`, one of each rank 1..d
     bases: list[tuple[Atom, ...]] = []
 
-    def survivors(candidates: list[int], subsets: list[int]) -> list[int]:
-        """The candidates k such that no mask in `subsets` plus bit k is BB."""
-        out = []
-        for k in candidates:
-            bit = 1 << k
-            for sub in subsets:
-                s = sub | bit
-                join = joins.get(s, _MISS)
-                if join is _MISS:
-                    below = joins[sub]
-                    key = (below.code, k)
-                    join = pair_joins.get(key)
-                    if join is None:
-                        join = pair_joins[key] = join_op(below, parts[k])
-                    # a singleton is never BB.  `atoms` is in rank order and
-                    # the verdict depends only on the join and the set's
-                    # least-ranked member, its lowest bit, so that atom stands
-                    # for the set
-                    if sub and is_bb([atoms[(s & -s).bit_length() - 1]], n, ambient, join):
-                        join = None
-                    joins[s] = join
-                if join is None:
-                    break
-            else:
-                out.append(k)
+    def join(x: SetPartition, k: int) -> SetPartition:
+        code, a = x.code, atoms[k]
+        key = (code, code[a.i - 1], code[a.j - 1])
+        out = pair_joins.get(key)
+        if out is None:
+            out = pair_joins[key] = join_op(x, parts[k])
         return out
 
-    def walk(mask: int, subsets: list[int], candidates: list[int]) -> None:
-        d = len(chosen)  # `candidates` are survivors of rank above d, in order
+    def walk(suffixes: list[SetPartition]) -> None:
+        """Extend `chosen` by each atom of the next rank that keeps it
+        NBB, given the joins of its suffixes chosen[t:]."""
+        d = len(chosen)
         if d == n - 1:
-            if joins[mask] == top:
+            if not suffixes or suffixes[0] == top:  # n = 1: the empty base
                 bases.append(tuple(atoms[i] for i in chosen))
             return
-        end = bisect_left(candidates, bisect_right(ranks, d + 1))
-        higher = candidates[end:]
-        for k in candidates[:end]:
-            bit = 1 << k
-            new = [sub | bit for sub in subsets]
-            chosen.append(k)
-            walk(mask | bit, subsets + new, survivors(higher, new))
-            chosen.pop()
+        for k in range(bisect_left(ranks, d + 1), bisect_right(ranks, d + 1)):
+            # the verdict depends only on the join and the set's
+            # least-ranked member, chosen[t]
+            if not any(is_bb([atoms[chosen[t]]], n, ambient, join(x, k))
+                       for t, x in enumerate(suffixes)):
+                chosen.append(k)
+                walk([join(x, k) for x in suffixes] + [parts[k]])
+                chosen.pop()
 
-    walk(0, [0], survivors(list(range(len(atoms))), [0]))
+    walk([])
     return tuple(bases)
 
 

@@ -39,7 +39,7 @@ from ncpe.builders import (BuildError, _require_pe, build_nc, build_pe_dref,
 from ncpe.labelings import (EdgeLabeling, ELVerdict, LabelingError,
                             count_decreasing_chains, is_rising,
                             left_modular_labeling, parking_label, verify_el)
-from ncpe.nbb import (_MISS, Ambient, Atom, NCTree, check_nbb_size, is_bb,
+from ncpe.nbb import (Ambient, Atom, NCTree, check_nbb_size, is_bb,
                       ranked_atoms)
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import (PartitionError, SetPartition, _from_labels, code_blocks,
@@ -797,6 +797,9 @@ def ambient_join(atoms: Iterable[Atom], n: int, ambient: str) -> SetPartition:
     for a in atoms:
         result = join_op(result, a.partition(n))
     return result
+
+
+_MISS = object()  # memo miss in `nbb_bases`, told apart by identity
 
 
 def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...]]:

@@ -200,6 +200,18 @@ class TestMobius:
         assert result.exit_code == 2
         assert ("n <= 10" if method == "nbb" else "n <= 9") in result.output
 
+    @pytest.mark.parametrize("target, value", [("nc", -42), ("pe-dref", -14)])
+    def test_nbb_method_builds_no_poset(self, runner, monkeypatch, target, value):
+        """The NBB search reads no poset, so `--method nbb` builds none."""
+        def no_build(target, n):
+            raise AssertionError("poset built for --method nbb")
+
+        monkeypatch.setattr("ncpe.cli._build", no_build)
+        code, report = run_json(runner, "mobius", "-n", "6", "--target", target,
+                                "--method", "nbb")
+        assert code == 0 and report["agree"]
+        assert report["values"] == {"nbb": value} and report["closed_form"] == value
+
     @pytest.mark.parametrize("target, walk", [("nc", "10^8"), ("pe-dref", "66 M")])
     def test_all_methods_refused_at_10_before_build(self, runner, monkeypatch,
                                                     target, walk):

@@ -3,7 +3,7 @@ and against the search without ranks in `reference.py`, which also finds
 the bases of arbitrary elements; the noncrossing-tree model, and the
 discard classification."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -179,15 +179,21 @@ class TestBases:
 
     @pytest.mark.parametrize("ambient, join_op", [("nc", nc_join), ("pe", pe_join)])
     def test_each_pair_joined_once(self, monkeypatch, ambient, join_op):
-        """Many atom sets share a join, but the search joins each
-        (partition, atom) pair once."""
-        pairs = []
-        monkeypatch.setattr(f"ncpe.nbb.{join_op.__name__}",
-                            lambda x, y: pairs.append((x.code, y.code)) or join_op(x, y))
+        """Many atom sets share a join, but the search joins a partition
+        with the atom {i, j} once per (partition, block of i, block of
+        j), on which alone the join depends."""
+        keys = []
+
+        def counted(x, y):
+            i, j = next(b for b in y.blocks if len(b) == 2)
+            keys.append((x.code, x.code[i - 1], x.code[j - 1]))
+            return join_op(x, y)
+
+        monkeypatch.setattr(f"ncpe.nbb.{join_op.__name__}", counted)
         # the undecorated search, so the joins run in this test
         bases = enumerate_nbb_bases_top.__wrapped__(7, ambient)
         assert bases == enumerate_nbb_bases_top(7, ambient)
-        assert pairs and len(set(pairs)) == len(pairs)
+        assert keys and len(set(keys)) == len(keys)
 
     def test_caps(self):
         assert NBB_MAX_N == 10
@@ -197,6 +203,25 @@ class TestBases:
             enumerate_nbb_bases_top(11, "pe")
         with pytest.raises(BuildError):
             enumerate_nbb_bases_top(2, "pe")
+
+
+class TestSuffixLemma:
+    @pytest.mark.parametrize("ambient, low, cases", [("nc", 1, 199), ("pe", 3, 132)])
+    def test_rank_suffixes_decide_nbb(self, ambient, low, cases):
+        """On every atom set with one atom of each rank 1..d, for n <= 6:
+        no rank suffix (the members of rank >= t) is BB iff no nonempty
+        subset is, which is what lets the search test d sets, not 2^d."""
+        verdicts = []
+        for n in range(low, 7):
+            groups = atoms_by_rank(n, ambient)
+            for d in range(1, n):
+                for atoms in product(*groups[:d]):
+                    no_bb_suffix = not any(
+                        is_bb(atoms[t:], n, ambient, ambient_join(atoms[t:], n, ambient))
+                        for t in range(d))
+                    assert no_bb_suffix == is_nbb(atoms, n, ambient), atoms
+                    verdicts.append(no_bb_suffix)
+        assert len(verdicts) == cases and set(verdicts) == {False, True}
 
 
 class TestMoebius:
