@@ -68,10 +68,6 @@ def is_rising(word: Sequence[int]) -> bool:
     return all(map(operator.lt, word, word[1:]))
 
 
-def is_weakly_decreasing(word: Sequence[int]) -> bool:
-    return all(map(operator.ge, word, word[1:]))
-
-
 def left_modular_labeling(poset: FinitePoset, chain_keys: Sequence) -> EdgeLabeling:
     """Labeling induced by a left-modular maximal chain c_0 < ... < c_r:
     a cover (y, z) gets the least t with z <= y v c_t.
@@ -151,11 +147,25 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     the previous chain are x-to-w chains not seen before.  Each extends
     the word of the prefix one shorter by one label, and is rising iff
     that prefix is and the label exceeds its last.  Per w this counts
-    the rising x-to-w chains and keeps the least word (tuples, so words
-    of different lengths compare as before).  Then [x, y] passes iff it
-    has exactly one rising chain and its least word is rising; the
-    intervals are checked in increasing order of y, and the first
-    failing one gets its witness from the chains of [x, y] alone.
+    the rising x-to-w chains and keeps the least word with whether it
+    rises.  Then [x, y] passes iff it has exactly one rising chain and
+    its least word rises; the intervals are checked in increasing order
+    of y, and the first failing one gets its witness from the chains of
+    [x, y] alone.
+
+    A word is one int, its labels as digits left-aligned to the longest
+    chain from x: no chain of [x, 1] is longer than
+    D = height[1] - height[x], as a longest chain from the bottom to x
+    continues along it.  The label at depth i is the digit
+    label - lo + 1 at place base**(D - i), with lo and hi the least and
+    greatest labels and base = hi - lo + 2.  Every digit lies in
+    [1, base - 1] and the free places after a word's end are 0, so two
+    words compare as ints as they do lexicographically, whatever their
+    lengths: at the first depth where they differ, either both have
+    labels there and the larger digit outweighs all lower places, or
+    one has ended, and its 0 is below the other's digit.  So words of
+    different lengths, as on non-graded posets, need no other path, and
+    every word is below base**D.
 
     The walk from x lists every maximal chain of [x, 1] before any
     interval is judged.  So that a labeling failing just above x does
@@ -166,6 +176,8 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     _, top = poset._require_bounded()
     by_lower = labeling._by_lower
     height = poset.height
+    lo = min(labeling.labels.values(), default=0)
+    base = max(labeling.labels.values(), default=0) - lo + 2
     for x in range(len(poset.keys)):
         if x == top:
             continue
@@ -173,31 +185,38 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
         if _length_two_fails(by_lower, height, x):
             return ELVerdict(False, witness=next(filter(None, (
                 _interval_witness(poset, labeling, x, y) for y in uppers))))
+        depth = height[top] - height[x]
+        place = [base ** (depth - i) for i in range(depth + 1)]
+        unseen = (place[0],)  # base**D: above every word
         rising_count: dict[int, int] = {}
-        least: dict[int, tuple[int, ...]] = {}
-        words: list[tuple[int, ...]] = [()]  # words[i]: the word of chain[:i + 1]
+        least: dict[int, tuple[int, bool]] = {}  # w: least word, whether it rises
+        get = least.get
+        words = [0] * (depth + 1)  # words[i]: the word of chain[:i + 1]
+        lasts = [lo - 1] * (depth + 1)  # lasts[i]: its last label, if it rises
         rise = 0  # chain[:rise + 1] is the longest rising prefix
         prev: tuple = (x, None)  # the first chain shares only (x,) with it
         for chain in poset.interval_maximal_chains(x, top):
             k = 1
             while chain[k] == prev[k]:
                 k += 1
-            del words[k:]
-            rise = min(rise, k - 1)
-            word = words[-1]
+            if rise >= k:
+                rise = k - 1
+            word, last, row = words[k - 1], lasts[k - 1], by_lower[chain[k - 1]]
             for i in range(k, len(chain)):
                 w = chain[i]
-                label = by_lower[chain[i - 1]][w]
-                if rise == i - 1 and (i == 1 or word[-1] < label):
+                label = row[w]
+                word += (label - lo + 1) * place[i]
+                words[i] = word
+                if rise == i - 1 and last < label:
                     rise = i
                     rising_count[w] = rising_count.get(w, 0) + 1
-                word += (label,)
-                words.append(word)
-                if w not in least or word < least[w]:
-                    least[w] = word
+                    lasts[i] = last = label
+                if word < get(w, unseen)[0]:
+                    least[w] = (word, rise == i)
+                row = by_lower[w]
             prev = chain
         for y in uppers:
-            if rising_count.get(y) != 1 or not is_rising(least[y]):
+            if rising_count.get(y) != 1 or not least[y][1]:
                 return ELVerdict(False, witness=_interval_witness(poset, labeling, x, y))
     return ELVerdict(True)
 
@@ -259,6 +278,41 @@ def verify_sn_el(poset: FinitePoset, labeling: EdgeLabeling) -> bool:
 
 def count_decreasing_chains(poset: FinitePoset, labeling: EdgeLabeling) -> int:
     """Maximal bottom-to-top chains with weakly decreasing label word;
-    for an EL-shellable poset this equals |mu(bottom, top)|."""
-    return sum(1 for chain in poset.iter_maximal_chains()
-               if is_weakly_decreasing(labeling.word(chain)))
+    for an EL-shellable poset this equals |mu(bottom, top)|.
+
+    As in `verify_el`, the walker emits chains that share a prefix one
+    after another, so each chain is read from the depth k where it
+    leaves the previous one.  chain[:dec + 1] is the longest weakly
+    decreasing prefix.  If it ends below depth k - 1 the label after it
+    rises inside the shared part, and the chain is skipped; otherwise
+    it is cut to depth k - 1 and extended up to the first rise, and the
+    chain counts if it reaches the top.  Only consecutive labels are
+    compared, so no word is built: a chain's word weakly decreases iff
+    each label is at most the one before it."""
+    bottom, top = poset._require_bounded()
+    if bottom == top:
+        return 1  # the one chain (bottom,) has the empty word
+    by_lower = labeling._by_lower
+    lasts = [max(labeling.labels.values())] + [0] * poset.height[top]
+    found = dec = 0
+    prev: tuple = (bottom, None)
+    for chain in poset.iter_maximal_chains():
+        k = 1
+        while chain[k] == prev[k]:
+            k += 1
+        prev = chain
+        if dec < k - 1:
+            continue
+        dec = k - 1
+        last, row = lasts[dec], by_lower[chain[dec]]
+        for i in range(k, len(chain)):
+            w = chain[i]
+            label = row[w]
+            if label > last:
+                break
+            lasts[i] = last = label
+            dec = i
+            row = by_lower[w]
+        else:
+            found += 1
+    return found

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Collection, Iterable, Literal, NamedTuple
 
 from .builders import BuildError, pe_join
@@ -194,9 +194,20 @@ class NCTree:
     n: int
     edges: frozenset[tuple[int, int]]
 
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        """Each vertex's neighbours in increasing order, from one pass over
+        the edges."""
+        out: dict[int, list[int]] = {}
+        for i, j in self.edges:
+            out.setdefault(i, []).append(j)
+            out.setdefault(j, []).append(i)
+        for ws in out.values():
+            ws.sort()
+        return out
+
     def neighbors(self, v: int) -> list[int]:
-        out = [j if i == v else i for i, j in self.edges if v in (i, j)]
-        return sorted(out)
+        return list(self._adjacency.get(v, ()))
 
     def is_tree(self) -> bool:
         if len(self.edges) != self.n - 1:

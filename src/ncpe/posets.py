@@ -165,10 +165,13 @@ class FinitePoset:
         upper covers inside it.
 
         Being depth-first, the walk emits the chains that share a prefix
-        one after another, and callers rely on this contiguity:
-        `verify_el` reads every saturated chain from x as a prefix of the
-        chains of [x, 1] and takes each prefix once, when it first
-        differs from the previous chain."""
+        one after another, and both callers of the chain lists rely on
+        this contiguity: `verify_el` reads every saturated chain from x
+        as a prefix of the chains of [x, 1] and takes each prefix once,
+        when it first differs from the previous chain, and
+        `count_decreasing_chains` keeps the decreasing prefix of the
+        previous maximal chain up to the depth where the next one leaves
+        it."""
         if x == y:
             yield (x,)
             return

@@ -4,7 +4,8 @@ topological order that `from_covers` once used, the height by one step
 per cover, the Moebius recursion by dicts and the full Moebius table of a
 poset, the unique rising maximal chain of an edge labeling, the EL check
 by one chain list per interval, the S_n EL check by one walk of every
-maximal chain, the parking label by its block-set rule and by a scan of
+maximal chain, the decreasing-chain count by the word of every maximal
+chain, the parking label by its block-set rule and by a scan of
 the codes, the path counts along a subset of the covers, and the chain family
 of the noncrossing lattice that defines the chain-defined order on PE.
 
@@ -16,16 +17,17 @@ at its root edge, the iterated join of an atom set, the NBB bases of
 any element by a search that ignores ranks, and the meet form of the
 left-modular labeling.
 
-The join and meet tables, filled one height level at a time and one
-row at a time, with the lattice test, modular pairs and the labels read
-off them, are the oracles of the lattice verdict by the BEZ lemma, the
-witness scan, left-modularity by covers and the labels by join rows.
+The join and meet tables, filled one row at a time, with the lattice
+test, modular pairs and the labels read off them, are the oracles of
+the lattice verdict by the BEZ lemma, the witness scan, left-modularity
+by covers and the labels by join rows.
 The join, noncrossing closure and PE join that relabel through
 `_from_labels` are the oracles of the code-level kernels in `src`, and
 the per-member cover loop and the sort by blocks are the oracles of the
 packed-int cover search and of the order in which the noncrossing
 enumeration generates its partitions."""
 
+import operator
 import weakref
 from dataclasses import dataclass
 from itertools import combinations
@@ -188,8 +190,9 @@ def per_row_extremum_table(leq: np.ndarray, covers: list[list[int]],
     order that puts every upper cover of x before x (the meet table is
     the same call on leq.T, lower covers, a forward order and -height).
     The least join(c, y) over the covers c of x is found by the least
-    height among them.  The oracle of `_extremum_table`, which fills one
-    height level at a time and finds that candidate by rank."""
+    height among them.  The one table oracle: `lattice_tables` reads its
+    verdict and witness off these tables, and the tests check them
+    against the pairwise definition on the smaller lattices."""
     n = leq.shape[0]
     table = np.full((n, n), -1,
                     dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
@@ -299,6 +302,18 @@ def verify_sn_el_by_chains(p: FinitePoset, labeling: EdgeLabeling) -> bool:
         if set(word) != want or len(word) != r:
             return False
     return True
+
+
+def is_weakly_decreasing(word: Sequence[int]) -> bool:
+    return all(map(operator.ge, word, word[1:]))
+
+
+def count_decreasing_chains_by_words(p: FinitePoset, labeling: EdgeLabeling) -> int:
+    """The maximal chains whose whole label word is weakly decreasing.
+    The oracle of `count_decreasing_chains`, which reads each chain only
+    from where it leaves the previous one."""
+    return sum(1 for chain in p.iter_maximal_chains()
+               if is_weakly_decreasing(labeling.word(chain)))
 
 
 def code_scan_parking_label(x: SetPartition, y: SetPartition) -> int:
@@ -641,10 +656,6 @@ def join_table_labels(p: FinitePoset,
 
 # -- join and meet tables ---------------------------------------------------
 
-# entries of one (rows, covers, elements) gather in _extremum_table
-GATHER_LIMIT = 1 << 20
-
-
 @dataclass
 class LatticeTables:
     """Outcome of the lattice test by tables: the meet and join tables
@@ -673,8 +684,7 @@ def lattice_tables(p: FinitePoset) -> LatticeTables:
 
 def _lattice_tables(p: FinitePoset) -> LatticeTables:
     leq, h = leq_matrix(p), np.array(p.height)
-    join = _extremum_table(leq, p.upper_covers, h)
-    meet = _extremum_table(leq.T, lower_covers(p), -h)
+    join, meet = per_row_tables(p)
     if (join >= 0).all() and (meet >= 0).all():
         return LatticeTables(True, meet=meet, join=join)
     # the first failing pair (i, j >= i) in row-major order, join
@@ -708,60 +718,6 @@ def modular_columns(p: FinitePoset, x: int,
     columns = np.ones(len(p.keys), dtype=bool)
     columns[zs[broken]] = False
     return columns
-
-
-def _extremum_table(leq: np.ndarray, covers: list[list[int]],
-                    height: np.ndarray) -> np.ndarray:
-    """Join table by the cover recursion (the meet table is the same call
-    on the dual: leq.T, lower covers and -height).
-
-    For y incomparable to x every upper bound of x and y lies above some
-    upper cover c of x, so join(x, y) is the least of the join(c, y), if
-    one of them lies below all the others, and no join exists otherwise
-    (-1).  When some join(c, y) is itself undefined the entry is
-    undecided (-2): join(x, y) may still exist.
-
-    Row x reads only the rows of its upper covers, which are strictly
-    higher, so all rows of one height are filled together, from the
-    greatest height down.  The rows of a level are batched by their
-    number of covers, so that one gather of (rows, covers, elements)
-    needs no padding, and a batch is cut into blocks whose gather holds
-    at most GATHER_LIMIT entries, or one row where a row alone holds more.
-
-    A least candidate lies strictly below every other one, so it is the
-    unique candidate of least height.  The elements are ranked once by
-    (height, index), and the candidate of least rank is the only one
-    that can be least; the check that it lies below all the others
-    decides between it and -1.
-    """
-    n = leq.shape[0]
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    table = np.empty((n, n), dtype=dtype)
-    ids = np.arange(n, dtype=dtype)
-    by_rank = np.argsort(height, kind="stable").astype(dtype)
-    rank = np.full(n + 2, -1, dtype=dtype)  # entries -2 and -1 rank -1
-    rank[by_rank] = ids
-    levels = np.split(by_rank, np.flatnonzero(np.diff(height[by_rank])) + 1)
-    for level in reversed(levels):
-        by_width: dict[int, list[int]] = {}
-        for x in level.tolist():
-            by_width.setdefault(len(covers[x]), []).append(x)
-        for width, batch in by_width.items():
-            step = max(1, GATHER_LIMIT // (n * max(width, 1)))
-            for start in range(0, len(batch), step):
-                block = batch[start:start + step]
-                # y above x gives y, y below x gives x, -1 off the cone
-                rows = np.where(leq[block], ids, np.where(
-                    leq[:, block].T, np.array(block, dtype=dtype)[:, None], -1))
-                if width:  # a maximal x keeps -1 off its cone
-                    cand = table[[covers[x] for x in block]]
-                    least_rank = rank[cand].min(axis=1)  # -1: some candidate undefined
-                    best = by_rank[least_rank]
-                    least = leq[best[:, None, :], cand].all(axis=1)
-                    rows = np.where(rows >= 0, rows, np.where(
-                        least_rank < 0, -2, np.where(least, best, -1)))
-                table[block] = rows
-    return table
 
 
 def _unique_extremum(mask: np.ndarray, height: np.ndarray,

@@ -12,13 +12,13 @@ from ncpe.builders import (build_nc, build_pe_dref, build_pi, distinguished_chai
                            enumerate_partitions)
 from ncpe.cli import _build, _labeling
 from ncpe.labelings import (EdgeLabeling, LabelingError, count_decreasing_chains,
-                            is_rising, is_weakly_decreasing, left_modular_labeling,
-                            parking_label, parking_labeling, usual_labeling,
-                            verify_el, verify_sn_el)
+                            is_rising, left_modular_labeling, parking_label,
+                            parking_labeling, usual_labeling, verify_el, verify_sn_el)
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import SetPartition, parse_partition
 from ncpe.posets import FinitePoset, PosetError
 from reference import (block_set_parking_label, code_scan_parking_label,
+                       count_decreasing_chains_by_words, is_weakly_decreasing,
                        meet_form_labels, unique_rising_chain, verify_el_by_intervals,
                        verify_sn_el_by_chains)
 
@@ -207,6 +207,7 @@ N5_WORDS = {
     "short-rising-prefix": ((1, 2, 3), (1, 2)),
     "short-least": ((1, 2, 3), (1, 0)),
     "short-least-tie": ((1, 2, 3), (1, 1)),
+    "prefix-then-zero": ((1, 2, 0), (1, 2)),
     "fails-above-bottom": ((1, 3, 2), (0, 5)),
 }
 
@@ -215,6 +216,12 @@ N5_WORDS = {
 # graded of rank 3, and each interval of length two is a single chain
 HEXAGON_COVERS = [(0, 1), (1, 3), (3, 5), (0, 2), (2, 4), (4, 5)]
 HEXAGON = FinitePoset.from_covers(["0", "a", "b", "c", "d", "1"], HEXAGON_COVERS)
+
+# a diamond given top first, so that index order is not rank order; its
+# covers are 0 < a, a < 1, 0 < b, b < 1
+DIAMOND_COVERS = [(3, 2), (2, 0), (3, 1), (1, 0)]
+DIAMOND = FinitePoset.from_covers(["1", "b", "a", "0"], DIAMOND_COVERS)
+SMALL_POSETS = {"N5": N5, "hexagon": HEXAGON, "diamond": DIAMOND, "nc4": build_nc(4)}
 
 
 def listing_log(monkeypatch):
@@ -246,29 +253,37 @@ def swapped(lam):
     return EdgeLabeling(lam.poset, labels)
 
 
+def assert_matches_definitions(p, lam):
+    """`verify_el` gives the verdict and witness of the per-interval
+    definition, and `count_decreasing_chains` the count of the chains
+    whose whole word weakly decreases."""
+    verdict = verify_el(p, lam)
+    assert verdict == verify_el_by_intervals(p, lam)
+    assert count_decreasing_chains(p, lam) == count_decreasing_chains_by_words(p, lam)
+    return verdict
+
+
 class TestELOracle:
     """`verify_el` walks once per lower endpoint; the per-interval
-    definition must give the same verdict and the same witness."""
+    definition must give the same verdict and the same witness.  The
+    decreasing-chain count, which reads the same kind of walk, must
+    equal its definition on each case."""
 
     @pytest.mark.parametrize("scheme", ["left-modular", "usual", "parking"])
     @pytest.mark.parametrize("target,n", [(t, n) for t in ("nc", "pe-dref", "pe-pchn")
                                           for n in range(3, 8)])
     def test_partition_posets(self, target, n, scheme):
-        p, lam = labeled(target, n, scheme)
-        assert verify_el(p, lam) == verify_el_by_intervals(p, lam)
+        assert_matches_definitions(*labeled(target, n, scheme))
 
     @pytest.mark.parametrize("scheme", ["usual", "parking"])
     @pytest.mark.parametrize("n", [4, 5])
     def test_full_partition_lattice(self, n, scheme):
-        p, lam = labeled("pi", n, scheme)
-        assert verify_el(p, lam) == verify_el_by_intervals(p, lam)
+        assert_matches_definitions(*labeled("pi", n, scheme))
 
     @pytest.mark.parametrize("case", N5_WORDS)
     def test_pentagon_words_of_different_lengths(self, case):
-        lam = pentagon_labeling(*N5_WORDS[case])
-        verdict = verify_el(N5, lam)
+        verdict = assert_matches_definitions(N5, pentagon_labeling(*N5_WORDS[case]))
         assert verdict.el == (case == "el")
-        assert verdict == verify_el_by_intervals(N5, lam)
 
     def test_pentagon_witnesses(self):
         least = verify_el(N5, pentagon_labeling(*N5_WORDS["short-least"]))
@@ -316,18 +331,25 @@ class TestELOracle:
         """Both strands of the hexagon rise, so every interval of length two
         passes and only the walk from the bottom finds [0, 1] failing."""
         lam = EdgeLabeling(HEXAGON, dict(zip(HEXAGON_COVERS, (1, 2, 3, 2, 3, 4))))
-        verdict = verify_el(HEXAGON, lam)
-        assert verdict == verify_el_by_intervals(HEXAGON, lam)
+        verdict = assert_matches_definitions(HEXAGON, lam)
         assert verdict.witness == {
             "interval": ("0", "1"),
             "rising_chains": [["0", "a", "c", "1"], ["0", "b", "d", "1"]],
             "words": [(1, 2, 3), (2, 3, 4)]}
 
+    @pytest.mark.parametrize("name", SMALL_POSETS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_small_labels(self, name, data):
+        """Labels in [-3, 3], so zero and negative labels, ties, and (on
+        the pentagon) words of different lengths all occur: the two places
+        where an int encoding of the words can go wrong."""
+        p = SMALL_POSETS[name]
+        labels = data.draw(st.lists(st.integers(-3, 3), min_size=len(p.covers),
+                                    max_size=len(p.covers)))
+        assert_matches_definitions(p, EdgeLabeling(p, dict(zip(p.covers, labels))))
 
-# a diamond given top first, so that index order is not rank order; its
-# covers are 0 < a, a < 1, 0 < b, b < 1
-DIAMOND_COVERS = [(3, 2), (2, 0), (3, 1), (1, 0)]
-DIAMOND = FinitePoset.from_covers(["1", "b", "a", "0"], DIAMOND_COVERS)
+
 # a chain of rank 3
 CHAIN3_COVERS = [(0, 1), (1, 2), (2, 3)]
 CHAIN3 = FinitePoset.from_covers(["0", "a", "b", "1"], CHAIN3_COVERS)
