@@ -192,7 +192,7 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
         least: dict[int, tuple[int, bool]] = {}  # w: least word, whether it rises
         get = least.get
         words = [0] * (depth + 1)  # words[i]: the word of chain[:i + 1]
-        lasts = [lo - 1] * (depth + 1)  # lasts[i]: its last label, if it rises
+        lasts = [lo - 1] * (depth + 1)  # lasts[i]: its last label if it rises; lo - 1 at 0
         rise = 0  # chain[:rise + 1] is the longest rising prefix
         prev: tuple = (x, None)  # the first chain shares only (x,) with it
         for chain in poset.interval_maximal_chains(x, top):
