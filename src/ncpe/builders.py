@@ -19,13 +19,28 @@ from math import comb
 from .partitions import PartitionError, SetPartition, nc_join
 from .posets import FinitePoset
 
-PI_MAX_N = 9
-NC_MAX_N = 10
-PE_MAX_N = 10
+# The size cap of each family: the noun its refusal names, and the least
+# and greatest n.  The NBB search builds no poset, so each ambient has a
+# cap of its own.
+CAPS = {
+    "pi": ("full partition lattice", 1, 9),
+    "nc": ("noncrossing lattice", 1, 10),
+    "pe-dref": ("PE construction", 3, 10),
+    "pe-pchn": ("chain machinery", 3, 8),
+    "nbb-nc": ("NC ambient", 1, 10),
+    "nbb-pe": ("PE ambient", 3, 10),
+}
 
 
 class BuildError(ValueError):
     """Size cap exceeded or structurally invalid request."""
+
+
+def check_size(kind: str, n: int) -> None:
+    """Refuse an n outside the cap of `kind`, a key of `CAPS`."""
+    what, low, high = CAPS[kind]
+    if not low <= n <= high:
+        raise BuildError(f"{what} supports {low} <= n <= {high}, got n={n}")
 
 
 def catalan(n: int) -> int:
@@ -116,8 +131,7 @@ def _is_pe_code(code: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def pe_members(n: int) -> tuple[SetPartition, ...]:
-    if not (3 <= n <= PE_MAX_N):
-        raise BuildError(f"PE construction supports 3 <= n <= {PE_MAX_N}, got n={n}")
+    check_size("pe-dref", n)
     return tuple(x for x in enumerate_noncrossing(n) if _is_pe_code(x.code))
 
 
@@ -159,22 +173,18 @@ def _merge_covers(members: list[SetPartition]) -> list[tuple[int, int]]:
 
 
 def build_pi(n: int) -> FinitePoset:
-    if not (1 <= n <= PI_MAX_N):
-        raise BuildError(f"full partition lattice supports 1 <= n <= {PI_MAX_N}, got n={n}")
+    check_size("pi", n)
     members = enumerate_partitions(n)
     return FinitePoset.from_covers(members, _merge_covers(members))
 
 
 def build_nc(n: int) -> FinitePoset:
-    if not (1 <= n <= NC_MAX_N):
-        raise BuildError(f"noncrossing lattice supports 1 <= n <= {NC_MAX_N}, got n={n}")
+    check_size("nc", n)
     members = enumerate_noncrossing(n)
     return FinitePoset.from_covers(members, _merge_covers(members))
 
 
 def build_pe_dref(n: int) -> FinitePoset:
-    if not (3 <= n <= PE_MAX_N):
-        raise BuildError(f"PE construction supports 3 <= n <= {PE_MAX_N}, got n={n}")
     members = list(pe_members(n))
     return FinitePoset.from_covers(members, _merge_covers(members))
 

@@ -19,14 +19,14 @@ from math import comb
 
 import click
 
-from .builders import (BuildError, build_nc, build_pe_dref, build_pi, catalan,
-                       distinguished_chain, pe_members)
+from .builders import (CAPS, BuildError, build_nc, build_pe_dref, build_pi,
+                       catalan, check_size, distinguished_chain, pe_members)
 from .labelings import (EdgeLabeling, count_decreasing_chains,
                         left_modular_labeling, parking_labeling,
                         usual_labeling, verify_el, verify_sn_el)
-from .nbb import (Atom, base_to_tree, check_nbb_size, classification_census,
+from .nbb import (Atom, base_to_tree, classification_census,
                   enumerate_nbb_bases_top, moebius_via_nbb)
-from .parking import build_pe_pchn, check_pchn_size, count_D
+from .parking import build_pe_pchn, count_D
 from .partitions import PartitionError, parse_partition
 from .posets import FinitePoset
 
@@ -46,6 +46,12 @@ TARGETS = ("pi", "nc", "pe-dref", "pe-pchn")
 atexit.register(gc.freeze)
 
 
+def _cap(kind: str) -> str:
+    """The size cap of `kind` (a key of `CAPS`) as the help text gives it."""
+    _, low, high = CAPS[kind]
+    return f"n<={high}" if low == 1 else f"{low}<=n<={high}"
+
+
 def _build(target: str, n: int) -> tuple[FinitePoset, FinitePoset | None]:
     """The target poset, and the PE-dref poset that pe-pchn is cut from."""
     if target == "pi":
@@ -54,7 +60,7 @@ def _build(target: str, n: int) -> tuple[FinitePoset, FinitePoset | None]:
         return build_nc(n), None
     if target == "pe-dref":
         return build_pe_dref(n), None
-    check_pchn_size(n)  # before the larger PE-dref build
+    check_size("pe-pchn", n)  # before the larger PE-dref build
     dref = build_pe_dref(n)
     return build_pe_pchn(n, dref), dref
 
@@ -126,7 +132,8 @@ def main() -> None:
 main.command_class = _Command
 
 
-@main.command()
+@main.command(help="Build a poset and report element/cover counts.\n\nCaps: "
+              + ", ".join(f"{t} {_cap(t)}" for t in TARGETS) + ".")
 @click.argument("target", type=click.Choice(TARGETS))
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
@@ -134,10 +141,6 @@ main.command_class = _Command
               callback=_output_file,
               help="Write the Hasse diagram as DOT to this file.")
 def build(target: str, n: int, as_json: bool, dot_path: str | None) -> None:
-    """Build a poset and report element/cover counts.
-
-    Caps: pi n<=9, nc n<=10, pe-dref 3<=n<=10, pe-pchn 3<=n<=8.
-    """
     started = time.monotonic()
     poset = _build(target, n)[0]
     report = {
@@ -183,7 +186,7 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
                 "reason": check.reason,
             }
     if suite in ("graded", "all"):
-        verdicts["graded"] = poset.is_graded()[0]
+        verdicts["graded"] = poset.is_graded()
     if suite in ("leftmod", "all") and target != "pe-pchn" and check.is_lattice:
         chain = [poset.index(x) for x in distinguished_chain(n)]
         verdicts["left_modular_chain"] = poset.is_left_modular_chain(chain)
@@ -224,14 +227,14 @@ def mobius(n: int, target: str, method: str, as_json: bool) -> None:
     ambient = "nc" if target == "nc" else "pe"
     use_nbb = method in ("nbb", "all") and target != "pe-pchn"
     if use_nbb and method == "all":
-        low = 1 if ambient == "nc" else 3
+        low = CAPS[target][1]
         if not low <= n <= 9:
             raise click.UsageError(
                 f"--method all supports {low} <= n <= 9, got n={n}; at n = 10 its "
                 f"chains method would walk all {'10^8' if ambient == 'nc' else '66 M'} "
                 "maximal chains, so use --method recursion or --method nbb there")
     if use_nbb:
-        check_nbb_size(n, ambient)
+        check_size(f"nbb-{ambient}", n)
     if method != "nbb":  # the NBB search needs no poset
         poset, dref = _build(target, n)
     values: dict[str, int] = {}
@@ -298,7 +301,9 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
     _emit(report, as_json, failed=False, started=started)
 
 
-@main.command()
+@main.command(help="Maximal chains of the noncrossing lattice as parking "
+              "functions, and the family avoiding the label n-1 "
+              f"(cap {_cap('pe-pchn')}).")
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--count-only", is_flag=True,
               help="Report only the count; no words even with --words.")
@@ -306,8 +311,6 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
               help="Include the parking words of the avoiding chains.")
 @click.option("--json", "as_json", is_flag=True)
 def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> None:
-    """Maximal chains of the noncrossing lattice as parking functions,
-    and the family avoiding the label n-1 (cap 3<=n<=8)."""
     started = time.monotonic()
     report: dict = {"command": "chains", "n": n}
     if show_words and not count_only:

@@ -261,8 +261,7 @@ def verify_sn_el(poset: FinitePoset, labeling: EdgeLabeling) -> bool:
     - In a bounded poset every 0-v chain continues through any cover
       (v, w) up to 1, so the union of the labels over [0, v] is exactly
       what the chains through (v, w) can repeat."""
-    graded, _ = poset.is_graded()
-    if not graded:
+    if not poset.is_graded():
         raise PosetError("Sn EL check requires a graded poset")
     r = poset.rank()
     by_lower = labeling._by_lower

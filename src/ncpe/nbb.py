@@ -25,14 +25,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Collection, Iterable, Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple
 
-from .builders import BuildError, pe_join
+from .builders import BuildError, check_size, pe_join
 from .partitions import SetPartition, nc_join
 
 Ambient = Literal["nc", "pe"]
-
-NBB_MAX_N = 10
 
 
 class Atom(NamedTuple):
@@ -76,37 +74,20 @@ def ranked_atoms(n: int, ambient: Ambient) -> dict[Atom, int]:
             for a in sorted(atoms, key=lambda a: (atom_rank(a, n), a))}
 
 
-def is_bb(atoms: Collection[Atom], n: int, ambient: Ambient,
-          join: SetPartition) -> bool:
-    """Bounded-below test: every member must have a strictly smaller atom
-    (in the rank order) lying below `join`, the join of the whole set in
-    the ambient.  An atom ranked below every member serves them all, so
-    the set is BB iff the first atom below the join, in rank order,
-    ranks below its least member."""
-    if not atoms:
-        raise BuildError("BB is defined for nonempty atom sets")
-    pool = ranked_atoms(n, ambient)
-    least = n  # above every rank
-    for a in atoms:
-        r = pool.get(a)
-        if r is None:
-            raise BuildError(f"atom {a} invalid for ambient {ambient!r}, n={n}")
-        least = min(least, r)
+def is_bb(least_rank: int, n: int, ambient: Ambient, join: SetPartition) -> bool:
+    """Bounded-below test of an atom set by the rank `least_rank` of its
+    least-ranked member and its join `join` in the ambient: every member
+    must have a strictly smaller atom (in the rank order) below the join,
+    and an atom ranked below every member serves them all, so the set is
+    BB iff the first atom below the join, in rank order, ranks below
+    `least_rank`.  The member-by-member definition is the test oracle."""
     code = join.code
-    for a, r in pool.items():  # rank order
-        if r >= least:
+    for a, r in ranked_atoms(n, ambient).items():  # rank order
+        if r >= least_rank:
             return False
         if code[a.i - 1] == code[a.j - 1]:
             return True
     return False
-
-
-def check_nbb_size(n: int, ambient: Ambient) -> None:
-    """Size cap of the NBB search in either ambient."""
-    low = 3 if ambient == "pe" else 1
-    if not (low <= n <= NBB_MAX_N):
-        raise BuildError(f"{ambient.upper()} ambient supports "
-                         f"{low} <= n <= {NBB_MAX_N}, got n={n}")
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +121,7 @@ def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...],
     x and on the blocks of x that hold i and j, so joins are memoised by
     (code of x, block of i, block of j), and each is computed once.
     """
-    check_nbb_size(n, ambient)  # before SetPartition.top rejects n < 1
+    check_size(f"nbb-{ambient}", n)  # before SetPartition.top rejects n < 1
     join_op = nc_join if ambient == "nc" else pe_join
     pool = ranked_atoms(n, ambient)
     atoms, ranks = list(pool), list(pool.values())
@@ -168,9 +149,9 @@ def enumerate_nbb_bases_top(n: int, ambient: Ambient) -> tuple[tuple[Atom, ...],
                 bases.append(tuple(atoms[i] for i in chosen))
             return
         for k in range(bisect_left(ranks, d + 1), bisect_right(ranks, d + 1)):
-            # the verdict depends only on the join and the set's
-            # least-ranked member, chosen[t]
-            if not any(is_bb([atoms[chosen[t]]], n, ambient, join(x, k))
+            # the verdict depends only on the join and the rank t + 1 of
+            # the set's least-ranked member, chosen[t]
+            if not any(is_bb(t + 1, n, ambient, join(x, k))
                        for t, x in enumerate(suffixes)):
                 chosen.append(k)
                 walk([join(x, k) for x in suffixes] + [parts[k]])

@@ -14,25 +14,16 @@ is still an EL-labeling.
 
 from __future__ import annotations
 
-from .builders import BuildError, build_pe_dref
+from .builders import build_pe_dref, check_size
 from .labelings import parking_label
 from .posets import FinitePoset
-
-PCHN_MIN_N = 3
-PCHN_MAX_N = 8
-
-
-def check_pchn_size(n: int) -> None:
-    if not (PCHN_MIN_N <= n <= PCHN_MAX_N):
-        raise BuildError(
-            f"chain machinery supports {PCHN_MIN_N} <= n <= {PCHN_MAX_N}, got n={n}")
 
 
 def build_pe_pchn(n: int, pe: FinitePoset | None = None) -> FinitePoset:
     """The chain-defined order on the PE ground set: the covers of the
     PE-dref poset `pe` (built here if not given) whose parking label is
     not n-1, closed transitively."""
-    check_pchn_size(n)
+    check_size("pe-pchn", n)
     pe = build_pe_dref(n) if pe is None else pe
     return FinitePoset.from_covers(
         pe.keys, [(i, j) for i, j in pe.covers

@@ -221,15 +221,13 @@ class FinitePoset:
 
     # -- gradedness and rank ----------------------------------------------
 
-    def is_graded(self) -> tuple[bool, list[int] | None]:
-        """True iff all maximal chains have equal length; on success also
+    def is_graded(self) -> bool:
+        """True iff all maximal chains have equal length; then `height` is
         the rank function (length of any bottom-to-x saturated chain)."""
         self._require_bounded()
         # with a single bottom, unit height steps on every cover make each
         # bottom-to-x saturated chain have length height[x]
-        if any(self.height[j] != self.height[i] + 1 for i, j in self.covers):
-            return False, None
-        return True, list(self.height)
+        return all(self.height[j] == self.height[i] + 1 for i, j in self.covers)
 
     def rank(self) -> int:
         self._require_bounded()

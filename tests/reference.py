@@ -13,9 +13,9 @@ They also hold the checks of the paper's lemmas that no command runs:
 parking functions and chain words, the removed covers and their
 dominating witnesses, restriction EL on the chain-defined order, the
 PE meet, modular pairs and supersolvability, the split of a base tree
-at its root edge, the iterated join of an atom set, the NBB bases of
-any element by a search that ignores ranks, and the meet form of the
-left-modular labeling.
+at its root edge, the iterated join of an atom set, the bounded-below
+test member by member, the NBB bases of any element by a search that
+ignores ranks, and the meet form of the left-modular labeling.
 
 The join and meet tables, filled one row at a time, with the lattice
 test, modular pairs and the labels read off them, are the oracles of
@@ -30,19 +30,19 @@ enumeration generates its partitions."""
 import operator
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ncpe.builders import (BuildError, _require_pe, build_nc, build_pe_dref,
-                           distinguished_chain, is_pe_member, pe_join,
-                           pe_members)
+                           build_pi, check_size, distinguished_chain,
+                           is_pe_member, pe_join, pe_members)
 from ncpe.labelings import (EdgeLabeling, ELVerdict, LabelingError,
                             count_decreasing_chains, is_rising,
                             left_modular_labeling, parking_label, verify_el)
-from ncpe.nbb import (Ambient, Atom, NCTree, check_nbb_size, is_bb,
-                      ranked_atoms)
+from ncpe.nbb import Ambient, Atom, NCTree, is_bb, ranked_atoms
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import (PartitionError, SetPartition, _from_labels, code_blocks,
                              nc_join)
@@ -212,13 +212,21 @@ def per_row_extremum_table(leq: np.ndarray, covers: list[list[int]],
     return table
 
 
+_ROWS: "weakref.WeakKeyDictionary[FinitePoset, tuple[np.ndarray, np.ndarray]]" = \
+    weakref.WeakKeyDictionary()
+
+
 def per_row_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     """The join and meet tables (with their -1 and -2 entries) by
-    `per_row_extremum_table` over the least-first topological order."""
-    n, h, leq = len(p.keys), np.array(p.height), leq_matrix(p)
-    topo = sorted_topological_order(n, p.upper_covers, [len(c) for c in lower_covers(p)])
-    return (per_row_extremum_table(leq, p.upper_covers, reversed(topo), h),
-            per_row_extremum_table(leq.T, lower_covers(p), topo, -h))
+    `per_row_extremum_table` over the least-first topological order
+    (computed once per poset)."""
+    if p not in _ROWS:
+        n, h, leq = len(p.keys), np.array(p.height), leq_matrix(p)
+        topo = sorted_topological_order(n, p.upper_covers,
+                                        [len(c) for c in lower_covers(p)])
+        _ROWS[p] = (per_row_extremum_table(leq, p.upper_covers, reversed(topo), h),
+                    per_row_extremum_table(leq.T, lower_covers(p), topo, -h))
+    return _ROWS[p]
 
 
 def loop_height(n: int, covers: Iterable[tuple[int, int]]) -> list[int]:
@@ -292,8 +300,7 @@ def verify_sn_el_by_chains(p: FinitePoset, labeling: EdgeLabeling) -> bool:
     """The S_n EL check by its definition: on a graded poset of rank r,
     every maximal chain carries r distinct labels from [r].  The oracle
     of `verify_sn_el`, which passes once over the covers."""
-    graded, _ = p.is_graded()
-    if not graded:
+    if not p.is_graded():
         raise PosetError("Sn EL check requires a graded poset")
     r = p.rank()
     want = set(range(1, r + 1))
@@ -625,8 +632,7 @@ def certify_supersolvable(p: FinitePoset, chain: Sequence[int]) -> bool:
     """Graded lattice with a left-modular maximal chain."""
     if not p.lattice_check().is_lattice:
         return False
-    graded, _ = p.is_graded()
-    if not graded:
+    if not p.is_graded():
         return False
     return p.is_left_modular_chain(chain)
 
@@ -655,6 +661,28 @@ def join_table_labels(p: FinitePoset,
 
 
 # -- join and meet tables ---------------------------------------------------
+
+BUILDERS = {"pi": build_pi, "nc": build_nc, "pe-dref": build_pe_dref,
+            "pe-pchn": build_pe_pchn}
+
+
+@dataclass(frozen=True)
+class Built:
+    """A partition poset named by its target and n.  Each call builds it
+    afresh, for the code under test; `oracle()` is the one built once per
+    session for the oracle side, so that its relation matrix and tables,
+    cached per poset, are computed once per (target, n)."""
+
+    target: str
+    n: int
+
+    def __call__(self) -> FinitePoset:
+        return BUILDERS[self.target](self.n)
+
+    @lru_cache(maxsize=None)
+    def oracle(self) -> FinitePoset:
+        return self()
+
 
 @dataclass
 class LatticeTables:
@@ -755,6 +783,17 @@ def ambient_join(atoms: Iterable[Atom], n: int, ambient: str) -> SetPartition:
     return result
 
 
+def is_bb_by_members(atoms: Iterable[Atom], n: int, ambient: Ambient,
+                     join: SetPartition) -> bool:
+    """The bounded-below definition, member by member: each member of a
+    nonempty atom set has an atom of strictly smaller rank below `join`,
+    the set's join in the ambient.  The oracle of `nbb.is_bb`, which
+    reads only the least member's rank."""
+    pool = ranked_atoms(n, ambient)
+    return all(any(r < pool[d] and same_block(join, a.i, a.j)
+                   for a, r in pool.items()) for d in atoms)
+
+
 _MISS = object()  # memo miss in `nbb_bases`, told apart by identity
 
 
@@ -777,12 +816,14 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
     level tests the atoms that survived at its parent against the new
     subsets alone, those that hold the atom just pushed.
     """
-    check_nbb_size(n, ambient)
+    check_size(f"nbb-{ambient}", n)
     if (x.n != n or not x.is_noncrossing
             or (ambient == "pe" and not is_pe_member(x))):
         raise BuildError(f"{x} is not in the {ambient} ambient for n={n}")
     join_op = nc_join if ambient == "nc" else pe_join
-    below = [a for a in ranked_atoms(n, ambient) if same_block(x, a.i, a.j)]
+    pool = ranked_atoms(n, ambient)
+    below = [a for a in pool if same_block(x, a.i, a.j)]
+    ranks = [pool[a] for a in below]
     parts = [a.partition(n) for a in below]
     # join of every visited atom set by mask, or None for a BB set
     joins: dict[int, SetPartition | None] = {0: SetPartition.bottom(n)}
@@ -800,10 +841,9 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
                 if join is _MISS:
                     join = join_op(joins[sub], parts[k])
                     # a singleton is never BB.  `below` is in rank order and
-                    # the verdict depends only on the join and the set's
-                    # least-ranked member, its lowest bit, so that atom stands
-                    # for the set
-                    if sub and is_bb([below[(s & -s).bit_length() - 1]], n, ambient, join):
+                    # the verdict depends only on the join and the rank of
+                    # the set's least-ranked member, its lowest bit
+                    if sub and is_bb(ranks[(s & -s).bit_length() - 1], n, ambient, join):
                         join = None
                     joins[s] = join
                 if join is None:

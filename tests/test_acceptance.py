@@ -48,7 +48,7 @@ def test_criterion_2_lattice_graded_supersolvable():
         p = build_pe_dref(n)
         tables = p.lattice_check()
         chain = [p.index(x) for x in distinguished_chain(n)]
-        ok = ok and tables.is_lattice and p.is_graded()[0] \
+        ok = ok and tables.is_lattice and p.is_graded() \
             and p.is_left_modular_chain(chain)
     elapsed = time.monotonic() - start
     _verdict(2, "lattice/graded/supersolvable", ok and elapsed < 120, elapsed)

@@ -142,7 +142,7 @@ class TestPosets:
         p = build_pi(4)
         assert len(p.keys) == 15
         assert len(p.covers) == 31
-        assert p.is_graded()[0]
+        assert p.is_graded()
 
     def test_nc_counts(self):
         p = build_nc(4)

@@ -13,8 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 import ncpe
+from ncpe.builders import CAPS as SRC_CAPS
 from ncpe.builders import build_nc, distinguished_chain
-from ncpe.cli import _closed_form, main
+from ncpe.cli import TARGETS, _closed_form, main
 from ncpe.parking import build_pe_pchn
 from ncpe.posets import FinitePoset
 from reference import build_D, chain_parking_word
@@ -364,6 +365,32 @@ def test_cap_refusal_is_usage_error(runner, command, low, high, n):
     assert isinstance(result.exception, SystemExit)
     assert f"{low} <= n <= {high}, got n={n}" in result.output
     assert "Traceback" not in result.output
+
+
+def test_readme_and_help_state_the_caps_table(runner):
+    """The README's size-cap table, `build --help` and `chains --help`
+    give the caps of `builders.CAPS`, and the table names every entry."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Size caps\n", 1)[1].split("\n#", 1)[0]
+    named = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, target, span, entry = (c.strip() for c in line.split("|")[1:-1])
+            _, low, high = SRC_CAPS[entry.strip("`")]
+            assert span == f"{low} ≤ n ≤ {high}", line
+            named.add(entry.strip("`"))
+    assert named == set(SRC_CAPS)
+
+    def stated(help_text):  # 'n<=9' or '3<=n<=8' as (low, high)
+        low, _, high = help_text.rpartition("n<=")
+        return int(low.rstrip("<=") or 1), int(high)
+
+    text = " ".join(runner.invoke(main, ["build", "--help"]).output.split())
+    caps = dict(item.split() for item in text.split("Caps: ")[1].split(".")[0].split(", "))
+    assert list(caps) == list(TARGETS)
+    assert {t: stated(c) for t, c in caps.items()} == {t: SRC_CAPS[t][1:] for t in TARGETS}
+    text = " ".join(runner.invoke(main, ["chains", "--help"]).output.split())
+    assert stated(text.split("(cap ")[1].split(")")[0]) == SRC_CAPS["pe-pchn"][1:]
 
 
 class TestDeterminism:

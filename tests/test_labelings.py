@@ -17,7 +17,7 @@ from ncpe.labelings import (EdgeLabeling, LabelingError, count_decreasing_chains
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import SetPartition, parse_partition
 from ncpe.posets import FinitePoset, PosetError
-from reference import (block_set_parking_label, code_scan_parking_label,
+from reference import (Built, block_set_parking_label, code_scan_parking_label,
                        count_decreasing_chains_by_words, is_weakly_decreasing,
                        meet_form_labels, unique_rising_chain, verify_el_by_intervals,
                        verify_sn_el_by_chains)
@@ -86,15 +86,17 @@ class TestLeftModularLabeling:
         rising = unique_rising_chain(p, lam)
         assert tuple(p.keys[v] for v in rising) == distinguished_chain(n)
 
-    @pytest.mark.parametrize("build,n", [(build_nc, n) for n in range(3, 8)]
-                             + [(build_pe_dref, n) for n in range(3, 9)],
+    @pytest.mark.parametrize("built", [Built("nc", n) for n in range(3, 8)]
+                             + [Built("pe-dref", n) for n in range(3, 9)],
                              ids=[f"nc{n}" for n in range(3, 8)]
                              + [f"pe{n}" for n in range(3, 9)])
-    def test_equals_meet_form(self, build, n):
+    def test_equals_meet_form(self, built):
         """The join form (least t with z <= y v c_t) equals the meet form
-        (least t with c_t ^ z not below y) on every cover."""
-        p, lam = leftmod(n, build)
-        assert lam.labels == meet_form_labels(p, distinguished_chain(n))
+        (least t with c_t ^ z not below y) on every cover; the meet form
+        reads the tables of the poset shared per (target, n)."""
+        chain = distinguished_chain(built.n)
+        lam = left_modular_labeling(built(), chain)
+        assert lam.labels == meet_form_labels(built.oracle(), chain)
 
 
 class TestParkingLabeling:

@@ -7,15 +7,17 @@ from itertools import combinations, product
 
 import pytest
 
-from ncpe.builders import (BuildError, build_nc, build_pe_dref, catalan,
+from ncpe.builders import (CAPS, BuildError, build_nc, build_pe_dref, catalan,
                            enumerate_noncrossing, pe_join, pe_members)
-from ncpe.nbb import (NBB_MAX_N, Atom, atom_rank, base_to_tree,
+from ncpe.nbb import (Atom, atom_rank, base_to_tree,
                       classification_census, classify_base,
                       enumerate_nbb_bases_top, is_bb, moebius_via_nbb,
                       nc_atoms, pe_atoms, ranked_atoms)
 from ncpe.partitions import SetPartition, nc_closure, nc_join, parse_partition
-from reference import (ambient_join, moebius_table, nbb_bases, same_block,
-                       split_at_root_edge)
+from reference import (ambient_join, is_bb_by_members, moebius_table, nbb_bases,
+                       same_block, split_at_root_edge)
+
+NBB_CAPS = {"nc": CAPS["nbb-nc"], "pe": CAPS["nbb-pe"]}  # (noun, low, high)
 
 
 # -- brute-force oracle: the NBB definition checked subset by subset ---------
@@ -46,7 +48,7 @@ def is_nbb(base, n, ambient):
         for combo in combinations(base, size):
             s = frozenset(combo)
             joins[s] = join_op(joins[s - {combo[-1]}], combo[-1].partition(n))
-            if is_bb(s, n, ambient, join=joins[s]):
+            if is_bb_by_members(s, n, ambient, joins[s]):
                 return False
     return True
 
@@ -75,6 +77,16 @@ def oracle_bases(n, ambient, x):
     return bases
 
 
+def one_atom_per_rank(ambient, low):
+    """Every atom set with one atom of each rank 1..d, as (n, atoms) with
+    the atoms in rank order, for low <= n <= 6."""
+    for n in range(low, 7):
+        groups = atoms_by_rank(n, ambient)
+        for d in range(1, n):
+            for atoms in product(*groups[:d]):
+                yield n, atoms
+
+
 class TestAtomOrder:
     def test_rank(self):
         assert atom_rank(Atom(2, 4), 5) == 4
@@ -100,45 +112,32 @@ class TestAtomOrder:
 
 
 class TestBB:
-    """`is_bb` takes the join of the set; the pool and emptiness checks
-    come before the join is read."""
-
-    def test_atom_outside_pool_rejected(self):
-        with pytest.raises(BuildError):
-            is_bb({Atom(1, 4)}, 5, "pe", SetPartition.top(5))
-        with pytest.raises(BuildError):
-            is_bb({Atom(2, 6)}, 5, "nc", SetPartition.top(5))
+    """`is_bb` takes the rank of the set's least-ranked member and the
+    set's join."""
 
     def test_same_rank_pair_is_bb(self):
         s = {Atom(2, 4), Atom(3, 4)}
-        assert is_bb(s, 5, "nc", ambient_join(s, 5, "nc"))
+        assert is_bb(4, 5, "nc", ambient_join(s, 5, "nc"))
 
     def test_crossing_pair_is_bb(self):
-        s = {Atom(2, 4), Atom(3, 5)}
-        assert is_bb(s, 5, "nc", ambient_join(s, 5, "nc"))
+        s = {Atom(2, 4), Atom(3, 5)}  # ranks 4 and 3
+        assert is_bb(3, 5, "nc", ambient_join(s, 5, "nc"))
 
     def test_singleton_never_bb(self):
         for a in nc_atoms(4):
-            assert not is_bb({a}, 4, "nc", a.partition(4))
-
-    def test_empty_rejected(self):
-        with pytest.raises(BuildError):
-            is_bb(set(), 4, "nc", SetPartition.bottom(4))
+            assert not is_bb(atom_rank(a, 4), 4, "nc", a.partition(4))
 
     @pytest.mark.parametrize("ambient, n", [("nc", 5), ("pe", 5), ("nc", 6), ("pe", 6)])
     def test_matches_definition_member_by_member(self, ambient, n):
-        """On every atom set of size 2 and 3, given as a tuple, a list or
-        a set: BB iff each member has an atom of smaller rank below the
-        join."""
+        """On every atom set of size 2 and 3: BB iff each member has an
+        atom of smaller rank below the join."""
         pool = ranked_atoms(n, ambient)
         verdicts = set()
         for size in (2, 3):
             for combo in combinations(pool, size):
                 join = ambient_join(combo, n, ambient)
-                want = all(any(r < pool[d] and same_block(join, a.i, a.j)
-                               for a, r in pool.items()) for d in combo)
-                for atoms in (combo, list(combo), set(combo)):
-                    assert is_bb(atoms, n, ambient, join) == want
+                want = is_bb_by_members(combo, n, ambient, join)
+                assert is_bb(min(pool[a] for a in combo), n, ambient, join) == want
                 verdicts.add(want)
         assert verdicts == {False, True}
 
@@ -160,8 +159,8 @@ class TestBases:
     def test_one_atom_per_rank(self):
         """Every base of the top holds one atom of each rank 1..n-1, in
         rank order, at every n up to the cap in both ambients."""
-        for ambient, low in (("nc", 1), ("pe", 3)):
-            for n in range(low, NBB_MAX_N + 1):
+        for ambient, (_, low, high) in NBB_CAPS.items():
+            for n in range(low, high + 1):
                 for base in enumerate_nbb_bases_top(n, ambient):
                     assert [atom_rank(a, n) for a in base] == list(range(1, n))
 
@@ -196,7 +195,7 @@ class TestBases:
         assert keys and len(set(keys)) == len(keys)
 
     def test_caps(self):
-        assert NBB_MAX_N == 10
+        assert NBB_CAPS == {"nc": ("NC ambient", 1, 10), "pe": ("PE ambient", 3, 10)}
         with pytest.raises(BuildError, match="n <= 10"):
             enumerate_nbb_bases_top(11, "nc")
         with pytest.raises(BuildError, match="n <= 10"):
@@ -212,16 +211,27 @@ class TestSuffixLemma:
         no rank suffix (the members of rank >= t) is BB iff no nonempty
         subset is, which is what lets the search test d sets, not 2^d."""
         verdicts = []
-        for n in range(low, 7):
-            groups = atoms_by_rank(n, ambient)
-            for d in range(1, n):
-                for atoms in product(*groups[:d]):
-                    no_bb_suffix = not any(
-                        is_bb(atoms[t:], n, ambient, ambient_join(atoms[t:], n, ambient))
-                        for t in range(d))
-                    assert no_bb_suffix == is_nbb(atoms, n, ambient), atoms
-                    verdicts.append(no_bb_suffix)
+        for n, atoms in one_atom_per_rank(ambient, low):
+            no_bb_suffix = not any(
+                is_bb_by_members(atoms[t:], n, ambient, ambient_join(atoms[t:], n, ambient))
+                for t in range(len(atoms)))
+            assert no_bb_suffix == is_nbb(atoms, n, ambient), atoms
+            verdicts.append(no_bb_suffix)
         assert len(verdicts) == cases and set(verdicts) == {False, True}
+
+    @pytest.mark.parametrize("ambient, low", [("nc", 1), ("pe", 3)])
+    def test_is_bb_matches_definition_on_every_suffix(self, ambient, low):
+        """On every rank suffix atoms[t:] of the sets above, `is_bb` given
+        its least rank t + 1, as the search gives it, agrees with the
+        definition member by member."""
+        verdicts = set()
+        for n, atoms in one_atom_per_rank(ambient, low):
+            for t in range(len(atoms)):
+                join = ambient_join(atoms[t:], n, ambient)
+                want = is_bb_by_members(atoms[t:], n, ambient, join)
+                assert is_bb(t + 1, n, ambient, join) == want, atoms[t:]
+                verdicts.add(want)
+        assert verdicts == {False, True}
 
 
 class TestMoebius:
@@ -322,8 +332,9 @@ class TestOracle:
         assert enumerate_nbb_bases_top(n, ambient) == \
             tuple(oracle_bases(n, ambient, SetPartition.top(n)))
 
-    @pytest.mark.parametrize("ambient, n", [("nc", n) for n in range(1, NBB_MAX_N + 1)]
-                             + [("pe", n) for n in range(3, NBB_MAX_N + 1)])
+    @pytest.mark.parametrize("ambient, n", [(ambient, n) for ambient, (_, low, high)
+                                            in NBB_CAPS.items()
+                                            for n in range(low, high + 1)])
     def test_top_bases_match_rank_free_search(self, ambient, n):
         """The search by ranks finds the bases that the search without
         ranks finds, in the same order, at every n up to the cap."""

@@ -6,10 +6,10 @@ from itertools import product
 import pytest
 
 from ncpe import builders, parking
-from ncpe.builders import (BuildError, build_pe_dref, distinguished_chain,
+from ncpe.builders import (CAPS, BuildError, build_pe_dref, distinguished_chain,
                            pe_members)
 from ncpe.labelings import LabelingError, parking_label
-from ncpe.parking import PCHN_MAX_N, PCHN_MIN_N, build_pe_pchn, count_D
+from ncpe.parking import build_pe_pchn, count_D
 from ncpe.partitions import parse_partition
 from ncpe.posets import PosetError
 from reference import (avoiding_chain_count, build_D, chain_family_order,
@@ -17,7 +17,8 @@ from reference import (avoiding_chain_count, build_D, chain_family_order,
                        is_parking_function, iter_all_chains, leq_matrix,
                        removed_covers, same_block, verify_restriction_el)
 
-ADVERTISED_N = range(PCHN_MIN_N, PCHN_MAX_N + 1)
+_, PCHN_LOW, PCHN_HIGH = CAPS["pe-pchn"]
+ADVERTISED_N = range(PCHN_LOW, PCHN_HIGH + 1)
 
 
 class TestParkingFunctions:
@@ -105,9 +106,8 @@ class TestChainOrder:
     @pytest.mark.parametrize("n", (4, 5, 6))
     def test_graded_with_partition_rank(self, n):
         p = build_pe_pchn(n)
-        ok, ranks = p.is_graded()
-        assert ok
-        assert all(int(ranks[i]) == p.keys[i].rank() for i in range(len(p.keys)))
+        assert p.is_graded()
+        assert all(p.height[i] == p.keys[i].rank() for i in range(len(p.keys)))
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
     def test_mobius_vanishes(self, n):
@@ -143,7 +143,7 @@ class TestChainFamilyOracle:
     def test_count_equals_nc_path_count(self, n):
         assert count_D(n) == avoiding_chain_count(n)
 
-    @pytest.mark.parametrize("n", range(PCHN_MIN_N, 7))
+    @pytest.mark.parametrize("n", range(PCHN_LOW, 7))
     def test_family_equals_filtered_chains(self, n):
         assert build_D(n) == [c for c in iter_all_chains(n)
                               if n - 1 not in chain_parking_word(c)]

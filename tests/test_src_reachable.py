@@ -1,11 +1,12 @@
-"""Every function, class and method defined in `src/ncpe` must be
-referenced by name somewhere in the package, outside `__init__.py`, so
-that code only the tests call lives in `tests/reference.py` instead.
+"""Every function, class, method and module-level constant defined in
+`src/ncpe` must be referenced by name somewhere in the package, outside
+`__init__.py`, so that code only the tests call lives in
+`tests/reference.py` instead, and no constant outlives its last reader.
 
-Dunder methods and click command callbacks are skipped: Python and click
-call them.  The check is by name only, so it is coarse: a method is
-reached when any attribute or variable of that name is read anywhere in
-the package."""
+Dunder methods and names and click command callbacks are skipped: Python
+and click use them.  The check is by name only, so it is coarse: a
+method is reached when any attribute or variable of that name is read
+anywhere in the package."""
 
 import ast
 from pathlib import Path
@@ -19,23 +20,35 @@ def _is_command_callback(node: ast.AST) -> bool:
                for d in getattr(node, "decorator_list", ()))
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _constants(tree: ast.Module) -> list[str]:
+    """The names bound by the module's top-level assignments."""
+    targets = [t for stmt in tree.body if isinstance(stmt, ast.Assign) for t in stmt.targets]
+    targets += [stmt.target for stmt in tree.body if isinstance(stmt, ast.AnnAssign)]
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
 def unreferenced_definitions(src: Path = SRC) -> list[str]:
-    """`module:name` for each definition that no name or attribute in the
-    package reads."""
+    """`module:name` for each definition and module-level constant that no
+    name or attribute in the package reads."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
     used: set[str] = set()
     defined: list[tuple[str, str]] = []
     for module, tree in trees.items():
+        defined += [(module, name) for name in _constants(tree) if not _is_dunder(name)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                    ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")
-                        or _is_command_callback(node)):
+                if not (_is_dunder(node.name) or _is_command_callback(node)):
                     defined.append((module, node.name))
     return [f"{module}:{name}" for module, name in defined if name not in used]
 
@@ -55,3 +68,11 @@ def test_finds_an_unreferenced_function(tmp_path):
         "@click.group()\ndef main():\n    pass\n\n"
         "@main.command()\ndef cmd():\n    pass\n")
     assert unreferenced_definitions(tmp_path) == ["m:orphan", "m:method"]
+
+
+def test_finds_an_unreferenced_constant(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "CAP = 9\nLOW: int = 1\nUSED, LEFT = 2, 3\n__all__ = []\n\n"
+        "def f():\n    return USED + LOW\n\n"
+        "f()\n")
+    assert unreferenced_definitions(tmp_path) == ["m:CAP", "m:LEFT"]
