@@ -31,6 +31,9 @@ from .partitions import PartitionError, parse_partition
 from .posets import FinitePoset
 
 TARGETS = ("pi", "nc", "pe-dref", "pe-pchn")
+# `mobius --method chains` and `all` walk every maximal chain: 66 M of PE_10
+# and 10^8 of NC_10, so they stop one below the builders' cap
+CHAIN_WALK_MAX_N = 9
 
 # After the exit handlers, CPython collects every object still alive:
 # click's, the partitions' and the posets'.  With this module imported, the time
@@ -205,7 +208,15 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
     _emit(report, as_json, failed=failed, started=started)
 
 
-@main.command()
+@main.command(help=f"""Moebius value between bottom and top, by independent methods.
+
+    'nbb' sums signed NBB bases and needs a lattice, so it is rejected
+    for pe-pchn; 'chains' counts weakly decreasing maximal chains of the
+    left-modular labeling.  'chains' and 'all' run to n = {CHAIN_WALK_MAX_N}: at
+    n = {CHAIN_WALK_MAX_N + 1} the chains method would walk 66 M (PE) or 10^8 (NC)
+    maximal chains, so use 'recursion' or 'nbb' there.  Exit 1 if methods
+    or closed form disagree.
+    """)
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--target", type=click.Choice(("nc", "pe-dref", "pe-pchn")),
               default="pe-dref", show_default=True)
@@ -213,26 +224,19 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
     ("recursion", "nbb", "chains", "all")), default="all", show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def mobius(n: int, target: str, method: str, as_json: bool) -> None:
-    """Moebius value between bottom and top, by independent methods.
-
-    'nbb' sums signed NBB bases and needs a lattice, so it is rejected
-    for pe-pchn; 'chains' counts weakly decreasing maximal chains of the
-    left-modular labeling.  'all' runs to n = 9: at n = 10 its chains
-    method would walk 66 M (PE) or 10^8 (NC) maximal chains, so use
-    'recursion' or 'nbb' there.  Exit 1 if methods or closed form disagree.
-    """
     started = time.monotonic()
     if method == "nbb" and target == "pe-pchn":
         raise click.UsageError("the NBB method needs a lattice; pe-pchn is not one")
     ambient = "nc" if target == "nc" else "pe"
     use_nbb = method in ("nbb", "all") and target != "pe-pchn"
-    if use_nbb and method == "all":
+    if method in ("chains", "all") and target != "pe-pchn":  # pe-pchn has its own cap
         low = CAPS[target][1]
-        if not low <= n <= 9:
+        if not low <= n <= CHAIN_WALK_MAX_N:
             raise click.UsageError(
-                f"--method all supports {low} <= n <= 9, got n={n}; at n = 10 its "
-                f"chains method would walk all {'10^8' if ambient == 'nc' else '66 M'} "
-                "maximal chains, so use --method recursion or --method nbb there")
+                f"--method {method} supports {low} <= n <= {CHAIN_WALK_MAX_N}, got n={n}; "
+                f"at n = {CHAIN_WALK_MAX_N + 1} the chains method would walk all "
+                f"{'10^8' if ambient == 'nc' else '66 M'} maximal chains, "
+                "so use --method recursion or --method nbb there")
     if use_nbb:
         check_size(f"nbb-{ambient}", n)
     if method != "nbb":  # the NBB search needs no poset

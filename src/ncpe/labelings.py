@@ -148,10 +148,23 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     the word of the prefix one shorter by one label, and is rising iff
     that prefix is and the label exceeds its last.  Per w this counts
     the rising x-to-w chains and keeps the least word with whether it
-    rises.  Then [x, y] passes iff it has exactly one rising chain and
-    its least word rises; the intervals are checked in increasing order
-    of y, and the first failing one gets its witness from the chains of
+    rises and its length.  Every y above x is reached, so [x, y] passes
+    iff it has exactly one rising chain and its least word rises, and
+    the failing y of least index gets its witness from the chains of
     [x, y] alone.
+
+    A prefix P to w is dominated, and the chain is read no further, when
+    P does not rise and its word is no less than the least word recorded
+    at w, if that is the word of a prefix P' of the same length; every
+    following chain that shares P is skipped.  P changes no count and no
+    least word: the walk is depth-first, so every chain through P' came
+    before it, and for any saturated chain S up from w, P.S does not
+    rise and its word is no less than that of P'.S, since the two words
+    differ first, if at all, inside their equal-length prefixes.  By
+    induction over the walk order, a word no greater than that of P'.S
+    is already recorded at the end of S, even if P'.S was itself
+    dominated.  The lengths must be equal: (1) < (1, 2), yet
+    (1, 2, 5) < (1, 5).
 
     A word is one int, its labels as digits left-aligned to the longest
     chain from x: no chain of [x, 1] is longer than
@@ -181,43 +194,51 @@ def verify_el(poset: FinitePoset, labeling: EdgeLabeling) -> ELVerdict:
     for x in range(len(poset.keys)):
         if x == top:
             continue
-        uppers = poset.above(x)
         if _length_two_fails(by_lower, height, x):
             return ELVerdict(False, witness=next(filter(None, (
-                _interval_witness(poset, labeling, x, y) for y in uppers))))
+                _interval_witness(poset, labeling, x, y) for y in poset.above(x)))))
         depth = height[top] - height[x]
         place = [base ** (depth - i) for i in range(depth + 1)]
-        unseen = (place[0],)  # base**D: above every word
+        unseen = (place[0], False, 0)  # base**D: above every word; no prefix has length 0
         rising_count: dict[int, int] = {}
-        least: dict[int, tuple[int, bool]] = {}  # w: least word, whether it rises
+        least: dict[int, tuple[int, bool, int]] = {}  # w: least word, whether it rises, length
         get = least.get
         words = [0] * (depth + 1)  # words[i]: the word of chain[:i + 1]
         lasts = [lo - 1] * (depth + 1)  # lasts[i]: its last label if it rises; lo - 1 at 0
         rise = 0  # chain[:rise + 1] is the longest rising prefix
+        cut = depth  # chain[:cut + 1] is dominated; at depth no later chain shares it
         prev: tuple = (x, None)  # the first chain shares only (x,) with it
         for chain in poset.interval_maximal_chains(x, top):
             k = 1
             while chain[k] == prev[k]:
                 k += 1
+            prev = chain
+            if k > cut:
+                continue
             if rise >= k:
                 rise = k - 1
+            cut = depth
             word, last, row = words[k - 1], lasts[k - 1], by_lower[chain[k - 1]]
             for i in range(k, len(chain)):
                 w = chain[i]
                 label = row[w]
                 word += (label - lo + 1) * place[i]
-                words[i] = word
+                best, _, length = get(w, unseen)
                 if rise == i - 1 and last < label:
                     rise = i
                     rising_count[w] = rising_count.get(w, 0) + 1
                     lasts[i] = last = label
-                if word < get(w, unseen)[0]:
-                    least[w] = (word, rise == i)
+                elif length == i and word >= best:
+                    cut = i
+                    break
+                if word < best:
+                    least[w] = (word, rise == i, i)
+                words[i] = word
                 row = by_lower[w]
-            prev = chain
-        for y in uppers:
-            if rising_count.get(y) != 1 or not least[y][1]:
-                return ELVerdict(False, witness=_interval_witness(poset, labeling, x, y))
+        failing = [y for y, (_, rises, _) in least.items()
+                   if not rises or rising_count.get(y) != 1]
+        if failing:
+            return ELVerdict(False, witness=_interval_witness(poset, labeling, x, min(failing)))
     return ELVerdict(True)
 
 

@@ -166,12 +166,12 @@ class FinitePoset:
 
         Being depth-first, the walk emits the chains that share a prefix
         one after another, and both callers of the chain lists rely on
-        this contiguity: `verify_el` reads every saturated chain from x
-        as a prefix of the chains of [x, 1] and takes each prefix once,
-        when it first differs from the previous chain, and
-        `count_decreasing_chains` keeps the decreasing prefix of the
-        previous maximal chain up to the depth where the next one leaves
-        it."""
+        this contiguity to skip them: `verify_el` reads every saturated
+        chain from x as a prefix of the chains of [x, 1], takes each
+        prefix once, when it first differs from the previous chain, and
+        skips the chains through a dominated prefix; and
+        `count_decreasing_chains` skips the chains that rise inside the
+        part they share with the previous maximal chain."""
         if x == y:
             yield (x,)
             return
@@ -184,15 +184,16 @@ class FinitePoset:
         chain = [x]
         stack = [iter(succ[x])]
         while stack:
-            w = next(stack[-1], None)
-            if w is None:
+            for w in stack[-1]:  # resumed where the last descent left it
+                if w == y:
+                    yield (*chain, y)
+                else:
+                    chain.append(w)
+                    stack.append(iter(succ[w]))
+                    break
+            else:
                 stack.pop()
                 chain.pop()
-            elif w == y:
-                yield (*chain, y)
-            else:
-                chain.append(w)
-                stack.append(iter(succ[w]))
 
     def iter_maximal_chains(self) -> Iterator[tuple[int, ...]]:
         """All bottom-to-top saturated chains, lexicographically."""

@@ -214,17 +214,21 @@ class TestMobius:
         assert report["values"] == {"nbb": value} and report["closed_form"] == value
 
     @pytest.mark.parametrize("target, walk", [("nc", "10^8"), ("pe-dref", "66 M")])
+    @pytest.mark.parametrize("method", ["all", "chains"])
     def test_all_methods_refused_at_10_before_build(self, runner, monkeypatch,
-                                                    target, walk):
-        """At n = 10 the NBB cap admits `--method all`, but its chains
-        method would walk every maximal chain, so it is refused first."""
+                                                    target, walk, method):
+        """At n = 10 the builders and the NBB cap admit `--method all` and
+        `--method chains`, but the chains method would walk every maximal
+        chain, so both are refused first."""
         def no_work(*_):
-            raise AssertionError("work started before the --method all check")
+            raise AssertionError(f"work started before the --method {method} check")
 
         monkeypatch.setattr("ncpe.cli._build", no_work)
         monkeypatch.setattr("ncpe.cli.moebius_via_nbb", no_work)
-        result = runner.invoke(main, ["mobius", "-n", "10", "--target", target])
+        result = runner.invoke(main, ["mobius", "-n", "10", "--target", target,
+                                      "--method", method])
         assert result.exit_code == 2
+        assert f"--method {method} supports" in result.output
         assert "n <= 9, got n=10" in result.output
         assert f"walk all {walk} maximal chains" in result.output
         assert "--method recursion or --method nbb" in result.output
@@ -350,6 +354,7 @@ CAPS = [
     ("verify --target pe-pchn", 3, 8),
     ("mobius", 3, 9), ("mobius --target nc", 1, 9), ("mobius --target pe-pchn", 3, 8),
     ("mobius --method nbb", 3, 10), ("mobius --target nc --method nbb", 1, 10),
+    ("mobius --method chains", 3, 9), ("mobius --target nc --method chains", 1, 9),
     ("nbb", 1, 10), ("nbb --ambient pe", 3, 10),
     ("chains", 3, 8), ("chains --words", 3, 8),
     ("label", 3, 10), ("label --target nc", 1, 10), ("label --target pe-pchn", 3, 8),

@@ -223,7 +223,12 @@ HEXAGON = FinitePoset.from_covers(["0", "a", "b", "c", "d", "1"], HEXAGON_COVERS
 # covers are 0 < a, a < 1, 0 < b, b < 1
 DIAMOND_COVERS = [(3, 2), (2, 0), (3, 1), (1, 0)]
 DIAMOND = FinitePoset.from_covers(["1", "b", "a", "0"], DIAMOND_COVERS)
-SMALL_POSETS = {"N5": N5, "hexagon": HEXAGON, "diamond": DIAMOND, "nc4": build_nc(4)}
+# two routes of different lengths to w below the top: 0 < a < w (first two
+# covers) and 0 < b < c < w, then w < 1; the walk from 0 reads the short one first
+TWO_LENGTHS_COVERS = [(0, 1), (1, 4), (4, 5), (0, 2), (2, 3), (3, 4)]
+TWO_LENGTHS = FinitePoset.from_covers(["0", "a", "b", "c", "w", "1"], TWO_LENGTHS_COVERS)
+SMALL_POSETS = {"N5": N5, "hexagon": HEXAGON, "diamond": DIAMOND,
+                "two-lengths": TWO_LENGTHS, "nc4": build_nc(4)}
 
 
 def listing_log(monkeypatch):
@@ -339,13 +344,37 @@ class TestELOracle:
             "rising_chains": [["0", "a", "c", "1"], ["0", "b", "d", "1"]],
             "words": [(1, 2, 3), (2, 3, 4)]}
 
+    def test_prune_compares_prefixes_of_one_length(self):
+        """From 0 the prefix 0 < a < w, word (1, 2), is read before
+        0 < b < c < w, word (1, 2, 1), which does not rise and is the
+        larger word.  Yet (1, 2, 1, 3) < (1, 2, 3), so [0, 1] fails on its
+        least word; a prune that compared prefixes of different lengths
+        would skip that chain, pass every interval above 0 and report
+        [b, w] instead."""
+        lam = EdgeLabeling(TWO_LENGTHS, dict(zip(TWO_LENGTHS_COVERS, (1, 2, 3, 1, 2, 1))))
+        verdict = assert_matches_definitions(TWO_LENGTHS, lam)
+        assert verdict.witness == {"interval": ("0", "1"),
+                                   "rising_chains": [["0", "a", "w", "1"]],
+                                   "words": [(1, 2, 1, 3), (1, 2, 3)]}
+
+    def test_witness_is_the_failing_interval_of_least_index(self):
+        """Both routes from 0 to w rise, so [0, w] and [0, 1] fail, and
+        neither has length two: the witness is [0, w], w being of lower
+        index than the top."""
+        lam = EdgeLabeling(TWO_LENGTHS, dict(zip(TWO_LENGTHS_COVERS, (1, 2, 4, 1, 2, 3))))
+        verdict = assert_matches_definitions(TWO_LENGTHS, lam)
+        assert verdict.witness == {"interval": ("0", "w"),
+                                   "rising_chains": [["0", "a", "w"], ["0", "b", "c", "w"]],
+                                   "words": [(1, 2), (1, 2, 3)]}
+
     @pytest.mark.parametrize("name", SMALL_POSETS)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_small_labels(self, name, data):
         """Labels in [-3, 3], so zero and negative labels, ties, and (on
-        the pentagon) words of different lengths all occur: the two places
-        where an int encoding of the words can go wrong."""
+        the pentagon and the two-lengths poset) words of different lengths
+        all occur: the two places where an int encoding of the words can
+        go wrong, and the one where a prune of dominated prefixes can."""
         p = SMALL_POSETS[name]
         labels = data.draw(st.lists(st.integers(-3, 3), min_size=len(p.covers),
                                     max_size=len(p.covers)))
