@@ -31,8 +31,8 @@ from .partitions import PartitionError, parse_partition
 from .posets import FinitePoset
 
 TARGETS = ("pi", "nc", "pe-dref", "pe-pchn")
-# `mobius --method chains` and `all` walk every maximal chain: 66 M of PE_10
-# and 10^8 of NC_10, so they stop one below the builders' cap
+# the chains method of `mobius` and the EL check walk every maximal chain:
+# 66 M of PE_10 and 10^8 of NC_10, so they stop one below the builders' cap
 CHAIN_WALK_MAX_N = 9
 
 # After the exit handlers, CPython collects every object still alive:
@@ -81,14 +81,23 @@ def _labeling(n: int, poset: FinitePoset, dref: FinitePoset | None,
     return left_modular_labeling(poset, distinguished_chain(n))
 
 
-def _emit(report: dict, as_json: bool, failed: bool, started: float) -> None:
-    if as_json:
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _print_human(report)
-        click.echo(f"elapsed: {time.monotonic() - started:.2f}s", err=True)
-    if failed:
-        sys.exit(1)
+def _bound_chain_walk(option: str, target: str, n: int, walker: str, advice: str) -> None:
+    """Refuse, before any build, a run whose `walker` would list every
+    maximal chain of [0, 1]: n above `CHAIN_WALK_MAX_N` or below the
+    target's cap.  pe-pchn keeps its own, lower cap."""
+    low = CAPS[target][1]
+    if target != "pe-pchn" and not low <= n <= CHAIN_WALK_MAX_N:
+        raise click.UsageError(
+            f"{option} supports {low} <= n <= {CHAIN_WALK_MAX_N}, got n={n}; "
+            f"at n = {CHAIN_WALK_MAX_N + 1} {walker} would walk all "
+            f"{'10^8' if target == 'nc' else '66 M'} maximal chains, "
+            f"so {advice} there")
+
+
+def _el_entries(poset: FinitePoset, lam: EdgeLabeling) -> dict:
+    """The `el` verdict of a report, with `el_witness` when it fails."""
+    verdict = verify_el(poset, lam)
+    return {"el": verdict.el, **({"el_witness": verdict.witness} if verdict.witness else {})}
 
 
 def _print_human(report: dict, indent: int = 0) -> None:
@@ -105,14 +114,23 @@ def _print_human(report: dict, indent: int = 0) -> None:
 
 
 class _Command(click.Command):
-    """A subcommand that reports a size cap or malformed input, raised
-    as `BuildError` or `PartitionError`, as a usage error (exit 2)."""
+    """A subcommand whose callback returns (report, failed).  Prints the
+    report, as JSON or as lines with the time on stderr; exits 1 if failed,
+    and 2 on a size cap or malformed input (`BuildError`, `PartitionError`)."""
 
-    def invoke(self, ctx: click.Context):
+    def invoke(self, ctx: click.Context) -> None:
+        start = time.monotonic()
         try:
-            return super().invoke(ctx)
+            report, failed = super().invoke(ctx)
         except (BuildError, PartitionError) as exc:
             raise click.UsageError(str(exc), ctx) from None
+        if ctx.params["as_json"]:
+            click.echo(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            _print_human(report)
+            click.echo(f"elapsed: {time.monotonic() - start:.2f}s", err=True)
+        if failed:
+            sys.exit(1)
 
 
 def _output_file(ctx: click.Context, param: click.Parameter,
@@ -143,8 +161,7 @@ main.command_class = _Command
 @click.option("--dot", "dot_path", type=click.Path(dir_okay=False),
               callback=_output_file,
               help="Write the Hasse diagram as DOT to this file.")
-def build(target: str, n: int, as_json: bool, dot_path: str | None) -> None:
-    started = time.monotonic()
+def build(target: str, n: int, as_json: bool, dot_path: str | None) -> tuple[dict, bool]:
     poset = _build(target, n)[0]
     report = {
         "command": "build", "target": target, "n": n,
@@ -156,10 +173,16 @@ def build(target: str, n: int, as_json: bool, dot_path: str | None) -> None:
         with open(dot_path, "w") as fh:
             fh.write(poset.to_dot())
         report["dot"] = dot_path
-    _emit(report, as_json, failed=False, started=started)
+    return report, False
 
 
-@main.command()
+@main.command(help=f"""Run structural verification suites (exit 1 on any failure).
+
+    Caps follow the builders; 'leftmod' requires a lattice target and is
+    skipped under 'all' for pe-pchn.  'el' and 'all' run to
+    n = {CHAIN_WALK_MAX_N} on nc and pe-dref, as at n = {CHAIN_WALK_MAX_N + 1} the EL check
+    would walk 66 M (PE) or 10^8 (NC) maximal chains.
+    """)
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--target", type=click.Choice(("nc", "pe-dref", "pe-pchn")),
               default="pe-dref", show_default=True)
@@ -167,16 +190,14 @@ def build(target: str, n: int, as_json: bool, dot_path: str | None) -> None:
     ("lattice", "graded", "leftmod", "el", "sn-el", "all")),
     default="all", show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def verify(n: int, target: str, suite: str, as_json: bool) -> None:
-    """Run structural verification suites (exit 1 on any failure).
-
-    Caps follow the builders; 'leftmod' requires a lattice target and is
-    skipped under 'all' for pe-pchn.
-    """
-    started = time.monotonic()
+def verify(n: int, target: str, suite: str, as_json: bool) -> tuple[dict, bool]:
     if target == "pe-pchn" and suite == "leftmod":
         raise click.UsageError(
             "left-modularity needs a lattice; pe-pchn is not one for n>=5")
+    if suite in ("el", "all"):
+        check_size(target, n)  # the builders' cap is reported first
+        _bound_chain_walk(f"--suite {suite}", target, n, "the EL check",
+                          "use --suite lattice, graded, leftmod or sn-el")
     poset, dref = _build(target, n)
     verdicts: dict[str, object] = {}
     check = None
@@ -196,16 +217,13 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
     if suite in ("el", "sn-el", "all"):
         lam = _labeling(n, poset, dref, "leftmod")
         if suite in ("el", "all"):
-            verdict = verify_el(poset, lam)
-            verdicts["el"] = verdict.el
-            if verdict.witness:
-                verdicts["el_witness"] = verdict.witness
+            verdicts.update(_el_entries(poset, lam))
         if suite in ("sn-el", "all"):
             verdicts["sn_el"] = verify_sn_el(poset, lam)
     failed = any(value is False for value in verdicts.values())
     report = {"command": "verify", "target": target, "n": n, "suite": suite,
               "verdicts": verdicts}
-    _emit(report, as_json, failed=failed, started=started)
+    return report, failed
 
 
 @main.command(help=f"""Moebius value between bottom and top, by independent methods.
@@ -223,20 +241,14 @@ def verify(n: int, target: str, suite: str, as_json: bool) -> None:
 @click.option("--method", type=click.Choice(
     ("recursion", "nbb", "chains", "all")), default="all", show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def mobius(n: int, target: str, method: str, as_json: bool) -> None:
-    started = time.monotonic()
+def mobius(n: int, target: str, method: str, as_json: bool) -> tuple[dict, bool]:
     if method == "nbb" and target == "pe-pchn":
         raise click.UsageError("the NBB method needs a lattice; pe-pchn is not one")
     ambient = "nc" if target == "nc" else "pe"
     use_nbb = method in ("nbb", "all") and target != "pe-pchn"
-    if method in ("chains", "all") and target != "pe-pchn":  # pe-pchn has its own cap
-        low = CAPS[target][1]
-        if not low <= n <= CHAIN_WALK_MAX_N:
-            raise click.UsageError(
-                f"--method {method} supports {low} <= n <= {CHAIN_WALK_MAX_N}, got n={n}; "
-                f"at n = {CHAIN_WALK_MAX_N + 1} the chains method would walk all "
-                f"{'10^8' if ambient == 'nc' else '66 M'} maximal chains, "
-                "so use --method recursion or --method nbb there")
+    if method in ("chains", "all"):
+        _bound_chain_walk(f"--method {method}", target, n, "the chains method",
+                          "use --method recursion or --method nbb")
     if use_nbb:
         check_size(f"nbb-{ambient}", n)
     if method != "nbb":  # the NBB search needs no poset
@@ -251,25 +263,19 @@ def mobius(n: int, target: str, method: str, as_json: bool) -> None:
         sign = (-1) ** poset.rank()
         values["chains"] = sign * count_decreasing_chains(poset, lam)
     closed = _closed_form(target, n)
-    agree = len(set(values.values())) == 1 and (
-        closed is None or closed == next(iter(values.values())))
-    report = {"command": "mobius", "target": target, "n": n,
-              "method": method, "values": values, "agree": agree}
-    if closed is not None:
-        report["closed_form"] = closed
-    _emit(report, as_json, failed=not agree, started=started)
+    agree = set(values.values()) == {closed}
+    report = {"command": "mobius", "target": target, "n": n, "method": method,
+              "values": values, "agree": agree, "closed_form": closed}
+    return report, not agree
 
 
-def _closed_form(target: str, n: int) -> int | None:
+def _closed_form(target: str, n: int) -> int:
+    """mu(0, 1) of a `mobius` target."""
     if target == "nc":
         return (-1) ** (n - 1) * catalan(n - 1)
-    if target == "pe-dref":
-        if n < 4:
-            return 0
+    if target == "pe-dref" and n >= 4:
         return (-1) ** (n - 1) * (4 * comb(2 * n - 5, n - 4) // n)
-    if target == "pe-pchn":
-        return 0
-    return None
+    return 0  # pe-dref below n = 4, and pe-pchn
 
 
 @main.command()
@@ -283,9 +289,8 @@ def _closed_form(target: str, n: int) -> int | None:
               help="Write all base trees as DOT to this file.")
 @click.option("--json", "as_json", is_flag=True)
 def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
-        as_json: bool) -> None:
+        as_json: bool) -> tuple[dict, bool]:
     """Enumerate NBB bases for the top element and their signed count."""
-    started = time.monotonic()
     if do_classify and ambient != "nc":
         raise click.UsageError("--classify applies to the nc ambient")
     census = classification_census(n) if do_classify else None
@@ -302,7 +307,7 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
             for base in bases:
                 fh.write(base_to_tree(base, n).to_dot())
         report["trees"] = trees_path
-    _emit(report, as_json, failed=False, started=started)
+    return report, False
 
 
 @main.command(help="Maximal chains of the noncrossing lattice as parking "
@@ -314,8 +319,7 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
 @click.option("--words", "show_words", is_flag=True,
               help="Include the parking words of the avoiding chains.")
 @click.option("--json", "as_json", is_flag=True)
-def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> None:
-    started = time.monotonic()
+def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> tuple[dict, bool]:
     report: dict = {"command": "chains", "n": n}
     if show_words and not count_only:
         poset = build_pe_pchn(n)  # checks the size cap
@@ -328,10 +332,13 @@ def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> None:
     else:
         report["avoiding"] = count_D(n)  # checks the size cap
     report["all_chains"] = n ** (n - 2)  # once n is known to be in the cap
-    _emit(report, as_json, failed=False, started=started)
+    return report, False
 
 
-@main.command()
+@main.command(help="Edge labelings of a poset; optionally verify EL-shellability.\n\n"
+              "With the leftmod scheme, or the usual scheme on nc, --check-el runs to "
+              f"n = {CHAIN_WALK_MAX_N}, as at n = {CHAIN_WALK_MAX_N + 1} the EL check would walk "
+              "66 M (PE) or 10^8 (NC) maximal chains.")
 @click.option("-n", "n", type=int, required=True, help="Ground-set size.")
 @click.option("--target", type=click.Choice(("nc", "pe-dref", "pe-pchn")),
               default="pe-dref", show_default=True)
@@ -343,9 +350,13 @@ def chains(n: int, count_only: bool, show_words: bool, as_json: bool) -> None:
               help="Write the labeled Hasse diagram as DOT to this file.")
 @click.option("--json", "as_json", is_flag=True)
 def label(n: int, target: str, scheme: str, check_el: bool,
-          dot_path: str | None, as_json: bool) -> None:
-    """Edge labelings of a poset; optionally verify EL-shellability."""
-    started = time.monotonic()
+          dot_path: str | None, as_json: bool) -> tuple[dict, bool]:
+    # at n = 10, parking on nc and pe-dref and usual on pe-dref fail EL on an
+    # interval of length two above the bottom, so the EL check stops early
+    if check_el and (scheme == "leftmod" or (scheme, target) == ("usual", "nc")):
+        check_size(target, n)  # the builders' cap is reported first
+        _bound_chain_walk(f"--check-el with --scheme {scheme}", target, n,
+                          "the EL check", "leave out --check-el")
     poset, dref = _build(target, n)
     lam = _labeling(n, poset, dref, scheme)
     names = [str(k) for k in poset.keys]
@@ -354,18 +365,13 @@ def label(n: int, target: str, scheme: str, check_el: bool,
         "labels": {f"{names[i]} -> {names[j]}": v
                    for (i, j), v in sorted(lam.labels.items())},
     }
-    failed = False
     if check_el:
-        verdict = verify_el(poset, lam)
-        report["el"] = verdict.el
-        if verdict.witness:
-            report["el_witness"] = verdict.witness
-        failed = not verdict.el
+        report.update(_el_entries(poset, lam))
     if dot_path:
         with open(dot_path, "w") as fh:
             fh.write(poset.to_dot(edge_labels=lam.labels))
         report["dot"] = dot_path
-    _emit(report, as_json, failed=failed, started=started)
+    return report, check_el and not report["el"]
 
 
 @main.command("probe-intervals")
@@ -374,10 +380,9 @@ def label(n: int, target: str, scheme: str, check_el: bool,
               help="Lower endpoint, e.g. '1|23|4' (default: the atom with "
                    "block {n-2, n-1}, which is not in PE at n = 3).")
 @click.option("--json", "as_json", is_flag=True)
-def probe_intervals(n: int, lower: str | None, as_json: bool) -> None:
+def probe_intervals(n: int, lower: str | None, as_json: bool) -> tuple[dict, bool]:
     """Cardinality of the interval [lower, top] in the PE family under
     dual refinement (membership filtering; no poset matrix needed)."""
-    started = time.monotonic()
     members = pe_members(n)
     x = Atom(n - 2, n - 1).partition(n) if lower is None else parse_partition(lower, n)
     if x not in set(members):
@@ -389,7 +394,7 @@ def probe_intervals(n: int, lower: str | None, as_json: bool) -> None:
     count = sum(1 for z in members if x.leq_dref(z))
     report = {"command": "probe-intervals", "n": n, "lower": str(x),
               "interval_size": count}
-    _emit(report, as_json, failed=False, started=started)
+    return report, False
 
 
 if __name__ == "__main__":

@@ -49,18 +49,16 @@ class EdgeLabeling:
                          chain[1:]))
 
     def restrict(self, poset: FinitePoset) -> "EdgeLabeling":
-        """Restriction to a poset on the same keys with a subset of the
-        cover relations."""
+        """Restriction to a poset on the same keys, in the same order, with
+        a subset of the cover relations; a cover keeps its index pair."""
+        if poset.keys != self.poset.keys:
+            raise LabelingError("keys not in original poset, or not in its order")
         labels = {}
         for i, j in poset.covers:
-            x, y = poset.keys[i], poset.keys[j]
-            try:
-                orig = (self.poset.index(x), self.poset.index(y))
-            except KeyError as exc:
-                raise LabelingError(f"{exc.args[0]} not in original poset") from None
-            if orig not in self.labels:
-                raise LabelingError(f"cover {x} < {y} not in original poset")
-            labels[(i, j)] = self.labels[orig]
+            if (i, j) not in self.labels:
+                raise LabelingError(f"cover {poset.keys[i]} < {poset.keys[j]} "
+                                    "not in original poset")
+            labels[(i, j)] = self.labels[(i, j)]
         return EdgeLabeling(poset, labels)
 
 

@@ -126,9 +126,6 @@ class FinitePoset:
 
     # -- basic structure -------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
     def index(self, key: Hashable) -> int:
         return self._index[key]
 
@@ -391,17 +388,15 @@ class FinitePoset:
     def to_json(self) -> str:
         return json.dumps({
             "elements": [str(k) for k in self.keys],
-            "covers": [[i, j] for i, j in sorted(self.covers)],
+            "covers": self.covers,  # json writes each pair as a list
         }, sort_keys=True)
 
     def to_dot(self, edge_labels: dict[tuple[int, int], int] | None = None) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
         for i, k in enumerate(self.keys):
             lines.append(f'  n{i} [label="{k}"];')
-        for i, j in sorted(self.covers):
-            attr = ""
-            if edge_labels is not None:
-                attr = f' [label="{edge_labels[(i, j)]}"]'
+        for i, j in self.covers:
+            attr = "" if edge_labels is None else f' [label="{edge_labels[(i, j)]}"]'
             lines.append(f"  n{i} -> n{j}{attr};")
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -234,6 +234,58 @@ class TestMobius:
         assert "--method recursion or --method nbb" in result.output
 
 
+class TestChainWalkBound:
+    """At n = 10 the EL check of `verify --suite el|all` and of
+    `label --check-el` would list every maximal chain of [0, 1] before it
+    judges the bottom, unless the labeling fails on an interval of length
+    two above it: the left-modular labeling on nc and pe-dref, and the
+    usual one on nc, do not.  Those runs are refused before any build."""
+
+    @pytest.mark.parametrize("args, option, walk", [
+        ("verify --suite el --target nc", "--suite el", "10^8"),
+        ("verify --suite all --target nc", "--suite all", "10^8"),
+        ("verify --suite el", "--suite el", "66 M"),
+        ("verify", "--suite all", "66 M"),
+        ("label --check-el --target nc", "--check-el with --scheme leftmod", "10^8"),
+        ("label --check-el", "--check-el with --scheme leftmod", "66 M"),
+        ("label --check-el --target nc --scheme usual", "--check-el with --scheme usual",
+         "10^8"),
+    ])
+    def test_refused_at_10_before_build(self, runner, monkeypatch, args, option, walk):
+        def no_build(*_):
+            raise AssertionError(f"poset built before the {option} check")
+
+        monkeypatch.setattr("ncpe.cli._build", no_build)
+        result = runner.invoke(main, [*args.split(), "-n", "10", "--json"])
+        assert result.exit_code == 2
+        low = 1 if "nc" in args.split() else 3
+        assert f"{option} supports {low} <= n <= 9, got n=10" in result.output
+        assert f"the EL check would walk all {walk} maximal chains" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args", [
+        "label --scheme parking --check-el",
+        "label --scheme parking --check-el --target nc",
+        "label --scheme usual --check-el",
+        "label",
+        "verify --suite sn-el",
+        "verify --suite lattice --target nc",
+    ])
+    def test_runs_that_stop_early_or_walk_no_chains_reach_the_build(
+            self, runner, monkeypatch, args):
+        """The labelings that fail on an interval of length two above the
+        bottom, and the suites without the EL check, still run at n = 10."""
+        class Reached(Exception):
+            pass
+
+        def reached(*_):
+            raise Reached
+
+        monkeypatch.setattr("ncpe.cli._build", reached)
+        result = runner.invoke(main, [*args.split(), "-n", "10", "--json"])
+        assert isinstance(result.exception, Reached), result.output
+
+
 class TestNbbChainsLabel:
     def test_nbb_census(self, runner):
         code, report = run_json(runner, "nbb", "-n", "5", "--classify")
@@ -351,13 +403,14 @@ CAPS = [
     ("build pi", 1, 9), ("build nc", 1, 10), ("build pe-dref", 3, 10),
     ("build pe-pchn", 3, 8),
     ("verify", 3, 10), ("verify --target nc", 1, 10),
-    ("verify --target pe-pchn", 3, 8),
+    ("verify --target pe-pchn", 3, 8), ("verify --suite el --target nc", 1, 10),
     ("mobius", 3, 9), ("mobius --target nc", 1, 9), ("mobius --target pe-pchn", 3, 8),
     ("mobius --method nbb", 3, 10), ("mobius --target nc --method nbb", 1, 10),
     ("mobius --method chains", 3, 9), ("mobius --target nc --method chains", 1, 9),
     ("nbb", 1, 10), ("nbb --ambient pe", 3, 10),
     ("chains", 3, 8), ("chains --words", 3, 8),
     ("label", 3, 10), ("label --target nc", 1, 10), ("label --target pe-pchn", 3, 8),
+    ("label --check-el", 3, 10), ("label --check-el --target nc --scheme usual", 1, 10),
     ("probe-intervals", 3, 10),
 ]
 
@@ -458,6 +511,158 @@ class TestDeterminism:
     def test_human_mode_timing_on_stderr_only(self, runner):
         result = runner.invoke(main, ["build", "nc", "-n", "3"])
         assert "elapsed" not in result.stdout or result.stderr_bytes is None
+
+    def test_human_mode_failure_exits_1(self, runner):
+        """Without --json the report is printed as sorted `key: value`
+        lines, the time goes to stderr, and a failed verdict exits 1."""
+        result = runner.invoke(main, ["verify", "-n", "5", "--target", "pe-pchn",
+                                      "--suite", "lattice"])
+        assert result.exit_code == 1
+        lines = result.stdout.splitlines()
+        assert lines[:2] == ["command: verify", "n: 5"] and "  lattice: False" in lines
+        assert result.stderr.startswith("elapsed: ") and "elapsed" not in result.stdout
+
+
+class TestHelpPages:
+    """Every --help page, pinned at 80 columns, so that a change to the
+    command layer shows any change to the text a user reads."""
+
+    PAGES = {
+        "--help": """\
+Usage: main [OPTIONS] COMMAND [ARGS]...
+
+  Exact computations on noncrossing-partition posets.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  build            Build a poset and report element/cover counts.
+  chains           Maximal chains of the noncrossing lattice as parking...
+  label            Edge labelings of a poset; optionally verify...
+  mobius           Moebius value between bottom and top, by independent...
+  nbb              Enumerate NBB bases for the top element and their signed...
+  probe-intervals  Cardinality of the interval [lower, top] in the PE...
+  verify           Run structural verification suites (exit 1 on any failure).
+""",
+        "build --help": """\
+Usage: main build [OPTIONS] {pi|nc|pe-dref|pe-pchn}
+
+  Build a poset and report element/cover counts.
+
+  Caps: pi n<=9, nc n<=10, pe-dref 3<=n<=10, pe-pchn 3<=n<=8.
+
+Options:
+  -n INTEGER  Ground-set size.  [required]
+  --json      Machine-readable output.
+  --dot FILE  Write the Hasse diagram as DOT to this file.
+  --help      Show this message and exit.
+""",
+        "chains --help": """\
+Usage: main chains [OPTIONS]
+
+  Maximal chains of the noncrossing lattice as parking functions, and the family
+  avoiding the label n-1 (cap 3<=n<=8).
+
+Options:
+  -n INTEGER    Ground-set size.  [required]
+  --count-only  Report only the count; no words even with --words.
+  --words       Include the parking words of the avoiding chains.
+  --json
+  --help        Show this message and exit.
+""",
+        "label --help": """\
+Usage: main label [OPTIONS]
+
+  Edge labelings of a poset; optionally verify EL-shellability.
+
+  With the leftmod scheme, or the usual scheme on nc, --check-el runs to n = 9,
+  as at n = 10 the EL check would walk 66 M (PE) or 10^8 (NC) maximal chains.
+
+Options:
+  -n INTEGER                      Ground-set size.  [required]
+  --target [nc|pe-dref|pe-pchn]   [default: pe-dref]
+  --scheme [leftmod|parking|usual]
+                                  [default: leftmod]
+  --check-el                      Also verify the EL-property.
+  --dot FILE                      Write the labeled Hasse diagram as DOT to this
+                                  file.
+  --json
+  --help                          Show this message and exit.
+""",
+        "mobius --help": """\
+Usage: main mobius [OPTIONS]
+
+  Moebius value between bottom and top, by independent methods.
+
+  'nbb' sums signed NBB bases and needs a lattice, so it is rejected for pe-
+  pchn; 'chains' counts weakly decreasing maximal chains of the left-modular
+  labeling.  'chains' and 'all' run to n = 9: at n = 10 the chains method would
+  walk 66 M (PE) or 10^8 (NC) maximal chains, so use 'recursion' or 'nbb' there.
+  Exit 1 if methods or closed form disagree.
+
+Options:
+  -n INTEGER                      Ground-set size.  [required]
+  --target [nc|pe-dref|pe-pchn]   [default: pe-dref]
+  --method [recursion|nbb|chains|all]
+                                  [default: all]
+  --json
+  --help                          Show this message and exit.
+""",
+        "nbb --help": """\
+Usage: main nbb [OPTIONS]
+
+  Enumerate NBB bases for the top element and their signed count.
+
+Options:
+  -n INTEGER         Ground-set size.  [required]
+  --ambient [nc|pe]  [default: nc]
+  --classify         Census of the discard classes (nc ambient only).
+  --trees FILE       Write all base trees as DOT to this file.
+  --json
+  --help             Show this message and exit.
+""",
+        "probe-intervals --help": """\
+Usage: main probe-intervals [OPTIONS]
+
+  Cardinality of the interval [lower, top] in the PE family under dual
+  refinement (membership filtering; no poset matrix needed).
+
+Options:
+  -n INTEGER    Ground-set size.  [required]
+  --lower TEXT  Lower endpoint, e.g. '1|23|4' (default: the atom with block
+                {n-2, n-1}, which is not in PE at n = 3).
+  --json
+  --help        Show this message and exit.
+""",
+        "verify --help": """\
+Usage: main verify [OPTIONS]
+
+  Run structural verification suites (exit 1 on any failure).
+
+  Caps follow the builders; 'leftmod' requires a lattice target and is skipped
+  under 'all' for pe-pchn.  'el' and 'all' run to n = 9 on nc and pe-dref, as at
+  n = 10 the EL check would walk 66 M (PE) or 10^8 (NC) maximal chains.
+
+Options:
+  -n INTEGER                      Ground-set size.  [required]
+  --target [nc|pe-dref|pe-pchn]   [default: pe-dref]
+  --suite [lattice|graded|leftmod|el|sn-el|all]
+                                  [default: all]
+  --json
+  --help                          Show this message and exit.
+""",
+    }
+
+    @pytest.mark.parametrize("args", sorted(PAGES))
+    def test_help_page_is_pinned(self, runner, args):
+        result = runner.invoke(main, args.split(), terminal_width=80)
+        assert result.exit_code == 0
+        assert result.output == self.PAGES[args]
+
+    def test_every_command_is_pinned(self):
+        assert {args.split()[0] for args in self.PAGES} == {"--help", *main.commands}
+
 
 
 # a fresh interpreter's environment, importing this copy of the package

@@ -1,6 +1,7 @@
 """Edge labelings: left-modular, parking, and the classical scheme, with
 exhaustive EL verification."""
 
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -184,6 +185,19 @@ class TestDecreasingChains:
         _, lam = leftmod(4)
         with pytest.raises(LabelingError, match="not in original poset"):
             lam.restrict(build_nc(4))
+
+    def test_restrict_needs_the_same_key_order_and_original_covers(self):
+        """Covers are matched by index pair, so the keys must come in the
+        original order, and every cover must be one of the original's."""
+        p, lam = leftmod(4)
+        last = len(p.keys) - 1
+        reversed_order = FinitePoset.from_covers(
+            p.keys[::-1], [(last - i, last - j) for i, j in p.covers])
+        with pytest.raises(LabelingError, match="not in its order"):
+            lam.restrict(reversed_order)
+        shortcut = FinitePoset.from_covers(p.keys, [(p.bottom, p.top)])
+        with pytest.raises(LabelingError, match=re.escape("cover 1|2|3|4 < 1234 not in")):
+            lam.restrict(shortcut)
 
     def test_restriction(self):
         n = 4
