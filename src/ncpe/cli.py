@@ -24,7 +24,7 @@ from .builders import (CAPS, BuildError, build_nc, build_pe_dref, build_pi,
 from .labelings import (EdgeLabeling, count_decreasing_chains,
                         left_modular_labeling, parking_labeling,
                         usual_labeling, verify_el, verify_sn_el)
-from .nbb import (Atom, base_to_tree, classification_census,
+from .nbb import (Atom, base_dot, classification_census,
                   enumerate_nbb_bases_top, moebius_via_nbb)
 from .parking import build_pe_pchn, count_D
 from .partitions import PartitionError, parse_partition
@@ -305,7 +305,7 @@ def nbb(n: int, ambient: str, do_classify: bool, trees_path: str | None,
     if trees_path:
         with open(trees_path, "w") as fh:
             for base in bases:
-                fh.write(base_to_tree(base, n).to_dot())
+                fh.write(base_dot(base))
         report["trees"] = trees_path
     return report, False
 

@@ -15,17 +15,17 @@ step makes d tests, not one per subset; joins are memoised by partition
 and the blocks the atom merges.  The same search without ranks, for any
 element, is the test oracle in `tests/reference.py`.
 
-The bases for the full partition correspond to noncrossing trees on [n];
-the tree model also classifies which bases survive the passage from the
-noncrossing lattice to its PE sublattice.
+A base is its atom tuple.  The atoms {i, j} of a base of the top are the
+edges of a noncrossing tree on [n] (the tests check this), so `base_dot`
+writes them as the tree, and `classify_base` reads off them which bases
+survive the passage from the noncrossing lattice to its PE sublattice.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Literal, NamedTuple
+from functools import lru_cache
+from typing import Literal, NamedTuple
 
 from .builders import BuildError, check_size, pe_join
 from .partitions import SetPartition, nc_join
@@ -42,36 +42,17 @@ class Atom(NamedTuple):
         """Built once per (atom, n), so its noncrossing test runs once."""
         return SetPartition.bottom(n).merge(self.i, self.j)
 
-    def __str__(self) -> str:
-        return f"a({self.i},{self.j})"
-
-
-def atom_rank(a: Atom, n: int) -> int:
-    """Rank of an atom in the atom order: j for {i, j} with j < n, and i
-    for {i, n}.  Equals the least r such that the atom sits below the
-    r-th element of the distinguished chain."""
-    if not (1 <= a.i < a.j <= n):
-        raise BuildError(f"invalid atom {a} for n={n}")
-    return a.j if a.j < n else a.i
-
-
-def nc_atoms(n: int) -> list[Atom]:
-    return [Atom(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def pe_atoms(n: int) -> list[Atom]:
-    if n < 3:
-        raise BuildError(f"PE atoms require n >= 3, got n={n}")
-    excluded = {Atom(1, n - 1), Atom(n - 1, n)}
-    return [a for a in nc_atoms(n) if a not in excluded]
-
 
 @lru_cache(maxsize=None)
 def ranked_atoms(n: int, ambient: Ambient) -> dict[Atom, int]:
-    """The rank of every atom of the ambient, in (rank, i, j) order."""
-    atoms = nc_atoms(n) if ambient == "nc" else pe_atoms(n)
-    return {a: atom_rank(a, n)
-            for a in sorted(atoms, key=lambda a: (atom_rank(a, n), a))}
+    """The rank of every atom of the ambient, in (rank, i, j) order: rank
+    r holds {i, r} for i < r, then {r, n}, the atoms that first lie below
+    the element of the distinguished chain with block {1, ..., r, n}.
+    PE lacks {1, n-1} and {n-1, n}."""
+    excluded = {Atom(1, n - 1), Atom(n - 1, n)} if ambient == "pe" else set()
+    return {a: r for r in range(1, n)
+            for a in [Atom(i, r) for i in range(1, r)] + [Atom(r, n)]
+            if a not in excluded}
 
 
 def is_bb(least_rank: int, n: int, ambient: Ambient, join: SetPartition) -> bool:
@@ -166,56 +147,11 @@ def moebius_via_nbb(n: int, ambient: Ambient) -> int:
     return sum((-1) ** len(base) for base in enumerate_nbb_bases_top(n, ambient))
 
 
-# -- the tree model -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class NCTree:
-    """Tree on [n] with one edge per atom of a base."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    @cached_property
-    def _adjacency(self) -> dict[int, list[int]]:
-        """Each vertex's neighbours in increasing order, from one pass over
-        the edges."""
-        out: dict[int, list[int]] = {}
-        for i, j in self.edges:
-            out.setdefault(i, []).append(j)
-            out.setdefault(j, []).append(i)
-        for ws in out.values():
-            ws.sort()
-        return out
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(self._adjacency.get(v, ()))
-
-    def is_tree(self) -> bool:
-        if len(self.edges) != self.n - 1:
-            return False
-        seen = {1}
-        frontier = [1]
-        while frontier:
-            v = frontier.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == self.n
-
-    def to_dot(self) -> str:
-        lines = ["graph nctree {", "  node [shape=circle];"]
-        for i, j in sorted(self.edges):
-            lines.append(f"  {i} -- {j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def base_to_tree(base: Iterable[Atom], n: int) -> NCTree:
-    tree = NCTree(n, frozenset((a.i, a.j) for a in base))
-    if not tree.is_tree():
-        raise BuildError(f"atom set does not form a tree on [{n}]")
-    return tree
+def base_dot(base: tuple[Atom, ...]) -> str:
+    """A base as the DOT graph of its noncrossing tree, one edge per atom,
+    in sorted order."""
+    edges = "".join(f"  {i} -- {j};\n" for i, j in sorted(base))
+    return "graph nctree {\n  node [shape=circle];\n" + edges + "}\n"
 
 
 # -- classification -----------------------------------------------------------
@@ -230,11 +166,11 @@ def classify_base(base: tuple[Atom, ...], n: int) -> Classification:
     minus the atom {1, n} already joins to the top in PE; the remainder
     are exactly the PE bases.
 
-    In the tree of the base, membership in R is equivalent to n having
-    1 as its only neighbor; that form is used here because it stays
-    meaningful when the base contains an atom outside PE.  The tests
-    check it against the iterated PE join wherever every remaining atom
-    lies in PE.
+    Membership in R is read on the atoms: {1, n} is the only atom that
+    holds n (in the base's tree, n's only neighbour is 1).  That form
+    stays meaningful when the base contains an atom outside PE; the
+    tests check it against the iterated PE join wherever every remaining
+    atom lies in PE.
     """
     atoms = set(base)
     root = Atom(1, n)
@@ -244,8 +180,7 @@ def classify_base(base: tuple[Atom, ...], n: int) -> Classification:
     s2 = Atom(n - 1, n) in atoms
     if s1 and s2:
         raise AssertionError(f"base {base} contains both excluded atoms")
-    tree = base_to_tree(base, n)
-    r = tree.neighbors(n) == [1]
+    r = [a for a in base if a.j == n] == [root]
     if s1 and not r:
         raise AssertionError(f"base {base} in S1 but not in R")
     if s2 and r:

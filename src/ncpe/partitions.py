@@ -66,9 +66,6 @@ class SetPartition:
         """Blocks sorted ascending, ordered by their least elements."""
         return code_blocks(self.code)
 
-    def rank(self) -> int:
-        return self.n - max(self.code) - 1
-
     def _check_range(self, i: int, j: int) -> None:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise PartitionError(f"indices ({i}, {j}) out of range for n={self.n}")

@@ -42,7 +42,7 @@ from ncpe.builders import (BuildError, _require_pe, build_nc, build_pe_dref,
 from ncpe.labelings import (EdgeLabeling, ELVerdict, LabelingError,
                             count_decreasing_chains, is_rising,
                             left_modular_labeling, parking_label, verify_el)
-from ncpe.nbb import Ambient, Atom, NCTree, is_bb, ranked_atoms
+from ncpe.nbb import Ambient, Atom, is_bb, ranked_atoms
 from ncpe.parking import build_pe_pchn
 from ncpe.partitions import (PartitionError, SetPartition, _from_labels, code_blocks,
                              nc_join)
@@ -767,11 +767,19 @@ def _unique_extremum(mask: np.ndarray, height: np.ndarray,
     return z
 
 
-# -- atoms and base trees ---------------------------------------------------
+# -- atoms and their trees -------------------------------------------------
 
 def same_block(x: SetPartition, i: int, j: int) -> bool:
     """Whether i and j lie in one block of x."""
     return x.code[i - 1] == x.code[j - 1]
+
+
+def chain_rank(a: Atom, n: int) -> int:
+    """Rank of an atom by its definition: the least t with the atom below
+    c_t of the distinguished chain, c_0 being the bottom.  The oracle of
+    the ranks `nbb.ranked_atoms` lists."""
+    return next(t for t, c in enumerate(distinguished_chain(n))
+                if same_block(c, a.i, a.j))
 
 
 def ambient_join(atoms: Iterable[Atom], n: int, ambient: str) -> SetPartition:
@@ -866,17 +874,30 @@ def nbb_bases(n: int, ambient: Ambient, x: SetPartition) -> list[tuple[Atom, ...
     return bases
 
 
-def split_at_root_edge(tree: NCTree) -> tuple[set[int], set[int]]:
-    """Vertex sets of the two components after removing edge {1, n}."""
-    if (1, tree.n) not in tree.edges:
-        raise BuildError("tree has no edge between 1 and n")
-    pruned = NCTree(tree.n, tree.edges - {(1, tree.n)})
-    comp1 = {1}
-    frontier = [1]
+def reached(atoms: Iterable[Atom], v: int) -> set[int]:
+    """The vertices joined to v by a path of atoms, read as edges."""
+    atoms = list(atoms)
+    seen, frontier = {v}, [v]
     while frontier:
-        v = frontier.pop()
-        for w in pruned.neighbors(v):
-            if w not in comp1:
-                comp1.add(w)
+        u = frontier.pop()
+        for i, j in atoms:
+            w = j if i == u else i if j == u else None
+            if w is not None and w not in seen:
+                seen.add(w)
                 frontier.append(w)
-    return comp1, set(range(1, tree.n + 1)) - comp1
+    return seen
+
+
+def is_spanning_tree(atoms: Sequence[Atom], n: int) -> bool:
+    """Whether the atoms, read as edges, form a tree on [n]: n - 1 of
+    them, every vertex reached from 1."""
+    return len(atoms) == n - 1 and reached(atoms, 1) == set(range(1, n + 1))
+
+
+def split_at_root_edge(base: Sequence[Atom], n: int) -> tuple[set[int], set[int]]:
+    """Vertex sets of the two components of a base's tree after removing
+    the edge {1, n}."""
+    if Atom(1, n) not in base:
+        raise BuildError("tree has no edge between 1 and n")
+    comp1 = reached((a for a in base if a != Atom(1, n)), 1)
+    return comp1, set(range(1, n + 1)) - comp1

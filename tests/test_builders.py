@@ -274,7 +274,7 @@ class TestDistinguishedChain:
         c = distinguished_chain(n)
         assert len(c) == n
         assert all(is_pe_member(x) for x in c)
-        assert all(a.leq_dref(b) and b.rank() == a.rank() + 1
+        assert all(a.leq_dref(b) and len(b.blocks) == len(a.blocks) - 1
                    for a, b in zip(c, c[1:]))
 
     @pytest.mark.parametrize("n", range(3, 7))

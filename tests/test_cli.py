@@ -309,6 +309,22 @@ class TestNbbChainsLabel:
         assert result.exit_code == 0
         assert out.read_text().count("graph nctree") == 5
 
+    # sha256 of the `nbb -n 6 --trees` file, so that a change to the order
+    # of the trees or of their edges shows up
+    TREES_PINNED = {
+        "nc": "0f426c680539d144f63ed909e9f9e4d37a586b6ca223d60d4585b5fa91e764e9",
+        "pe": "8c029103e95409b1b7151a2620481dee0218791117b075e7fc001051c324a27b",
+    }
+
+    @pytest.mark.parametrize("ambient", sorted(TREES_PINNED))
+    def test_nbb_trees_bytes(self, runner, tmp_path, ambient):
+        out = tmp_path / "trees.dot"
+        result = runner.invoke(main, ["nbb", "-n", "6", "--ambient", ambient,
+                                      "--trees", str(out)])
+        assert result.exit_code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.TREES_PINNED[ambient]
+
     def test_chains(self, runner):
         code, report = run_json(runner, "chains", "-n", "4", "--words")
         assert code == 0
@@ -449,6 +465,23 @@ def test_readme_and_help_state_the_caps_table(runner):
     assert {t: stated(c) for t, c in caps.items()} == {t: SRC_CAPS[t][1:] for t in TARGETS}
     text = " ".join(runner.invoke(main, ["chains", "--help"]).output.split())
     assert stated(text.split("(cap ")[1].split(")")[0]) == SRC_CAPS["pe-pchn"][1:]
+
+
+def test_readme_examples_run(runner, tmp_path, monkeypatch):
+    """Each `ncpe` line of the README's command-line example runs in a
+    fresh directory: the two that report a failed verdict exit 1, the
+    others exit 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    words = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [" ".join(w[1:]) for w in words if w[:1] == ["ncpe"]]
+    failing = {"verify -n 5 --target pe-pchn --suite lattice",
+               "label -n 4 --scheme parking --check-el"}
+    assert len(commands) == 9 and failing <= set(commands)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        result = runner.invoke(main, command.split())
+        assert result.exit_code == (1 if command in failing else 0), (command, result.output)
 
 
 class TestDeterminism:

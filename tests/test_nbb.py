@@ -1,20 +1,21 @@
 """NBB bases for the top element, checked against a brute-force oracle
 and against the search without ranks in `reference.py`, which also finds
-the bases of arbitrary elements; the noncrossing-tree model, and the
-discard classification."""
+the bases of arbitrary elements; the noncrossing-tree model, checked on
+the atoms of every base, and the discard classification."""
 
 from itertools import combinations, product
 
 import pytest
 
 from ncpe.builders import (CAPS, BuildError, build_nc, build_pe_dref, catalan,
-                           enumerate_noncrossing, pe_join, pe_members)
-from ncpe.nbb import (Atom, atom_rank, base_to_tree,
-                      classification_census, classify_base,
+                           enumerate_noncrossing, is_pe_member, pe_join,
+                           pe_members)
+from ncpe.nbb import (Atom, base_dot, classification_census, classify_base,
                       enumerate_nbb_bases_top, is_bb, moebius_via_nbb,
-                      nc_atoms, pe_atoms, ranked_atoms)
+                      ranked_atoms)
 from ncpe.partitions import SetPartition, nc_closure, nc_join, parse_partition
-from reference import (ambient_join, is_bb_by_members, moebius_table, nbb_bases,
+from reference import (ambient_join, chain_rank, is_bb_by_members,
+                       is_spanning_tree, moebius_table, nbb_bases, reached,
                        same_block, split_at_root_edge)
 
 NBB_CAPS = {"nc": CAPS["nbb-nc"], "pe": CAPS["nbb-pe"]}  # (noun, low, high)
@@ -28,12 +29,18 @@ def atoms_cross(a: Atom, b: Atom) -> bool:
     return i < k < j < l or k < i < l < j
 
 
+def ambient_atoms(n, ambient):
+    """The atoms of the ambient by definition: every {i, j} in NC, and
+    those that are members of PE in PE."""
+    atoms = [Atom(i, j) for i, j in combinations(range(1, n + 1), 2)]
+    return [a for a in atoms if ambient == "nc" or is_pe_member(a.partition(n))]
+
+
 def atoms_by_rank(n, ambient):
     """Atoms grouped by rank 1, ..., n-1, each group sorted by (i, j)."""
-    atoms = nc_atoms(n) if ambient == "nc" else pe_atoms(n)
     groups = [[] for _ in range(n - 1)]
-    for a in atoms:
-        groups[atom_rank(a, n) - 1].append(a)
+    for a in ambient_atoms(n, ambient):
+        groups[chain_rank(a, n) - 1].append(a)
     for g in groups:
         g.sort()
     return groups
@@ -89,21 +96,33 @@ def one_atom_per_rank(ambient, low):
 
 class TestAtomOrder:
     def test_rank(self):
-        assert atom_rank(Atom(2, 4), 5) == 4
-        assert atom_rank(Atom(2, 5), 5) == 2
-        assert atom_rank(Atom(1, 5), 5) == 1
-        with pytest.raises(BuildError):
-            atom_rank(Atom(4, 2), 5)
+        """Each atom's rank is the least t with the atom below c_t of the
+        distinguished chain, at every n up to the cap in both ambients."""
+        pool = ranked_atoms(5, "nc")
+        assert (pool[Atom(2, 4)], pool[Atom(2, 5)], pool[Atom(1, 5)]) == (4, 2, 1)
+        for ambient, (_, low, high) in NBB_CAPS.items():
+            for n in range(low, high + 1):
+                pool = ranked_atoms(n, ambient)
+                assert all(r == chain_rank(a, n) for a, r in pool.items())
 
     def test_atom_pools(self):
-        assert len(nc_atoms(5)) == 10
-        assert set(nc_atoms(5)) - set(pe_atoms(5)) == {Atom(1, 4), Atom(4, 5)}
+        """The ambient's atoms, each once, at every n up to the cap."""
+        assert len(ranked_atoms(5, "nc")) == 10
+        assert set(ranked_atoms(5, "nc")) - set(ranked_atoms(5, "pe")) == \
+            {Atom(1, 4), Atom(4, 5)}
+        for ambient, (_, low, high) in NBB_CAPS.items():
+            for n in range(low, high + 1):
+                assert sorted(ranked_atoms(n, ambient)) == ambient_atoms(n, ambient)
 
     def test_groups_partition_ranks(self):
+        """In (rank, i, j) order, at every n up to the cap."""
         pool = ranked_atoms(5, "nc")
         assert list(pool.values()) == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
         assert list(pool)[:3] == [Atom(1, 5), Atom(1, 2), Atom(2, 5)]
-        assert all(pool[a] == atom_rank(a, 5) for a in pool)
+        for ambient, (_, low, high) in NBB_CAPS.items():
+            for n in range(low, high + 1):
+                pool = ranked_atoms(n, ambient)
+                assert list(pool) == sorted(pool, key=lambda a: (pool[a], a))
 
     def test_crossing(self):
         assert atoms_cross(Atom(1, 3), Atom(2, 4))
@@ -124,8 +143,8 @@ class TestBB:
         assert is_bb(3, 5, "nc", ambient_join(s, 5, "nc"))
 
     def test_singleton_never_bb(self):
-        for a in nc_atoms(4):
-            assert not is_bb(atom_rank(a, 4), 4, "nc", a.partition(4))
+        for a, r in ranked_atoms(4, "nc").items():
+            assert not is_bb(r, 4, "nc", a.partition(4))
 
     @pytest.mark.parametrize("ambient, n", [("nc", 5), ("pe", 5), ("nc", 6), ("pe", 6)])
     def test_matches_definition_member_by_member(self, ambient, n):
@@ -161,8 +180,9 @@ class TestBases:
         rank order, at every n up to the cap in both ambients."""
         for ambient, (_, low, high) in NBB_CAPS.items():
             for n in range(low, high + 1):
+                rank = {a: chain_rank(a, n) for a in ambient_atoms(n, ambient)}
                 for base in enumerate_nbb_bases_top(n, ambient):
-                    assert [atom_rank(a, n) for a in base] == list(range(1, n))
+                    assert [rank[a] for a in base] == list(range(1, n))
 
     def test_one_closure_per_join(self, monkeypatch):
         """Each memoised join is closed once: beyond the joins, only the
@@ -174,7 +194,7 @@ class TestBases:
                             lambda x, y: joins.append(x) or nc_join(x, y))
         # the undecorated search, so the joins run in this test
         assert len(enumerate_nbb_bases_top.__wrapped__(7, "nc")) == catalan(6)
-        assert len(closures) <= len(joins) + len(nc_atoms(7)) + 2
+        assert len(closures) <= len(joins) + len(ranked_atoms(7, "nc")) + 2
 
     @pytest.mark.parametrize("ambient, join_op", [("nc", nc_join), ("pe", pe_join)])
     def test_each_pair_joined_once(self, monkeypatch, ambient, join_op):
@@ -249,27 +269,40 @@ class TestMoebius:
 
 
 class TestTrees:
+    """A base's atoms, read as edges {i, j}, are its noncrossing tree."""
+
     def test_all_bases_are_trees(self):
-        for base in enumerate_nbb_bases_top(6, "nc"):
-            tree = base_to_tree(base, 6)
-            assert tree.is_tree()
-            one, rest = split_at_root_edge(tree)
-            # the split is always an initial segment against its complement
-            assert one == set(range(1, max(one) + 1))
-            assert rest == set(range(max(one) + 1, 7))
+        """Every base of the top is a noncrossing spanning tree: n - 1
+        atoms, connected on [n], no two crossing, at every n up to the
+        cap in both ambients."""
+        for ambient, (_, low, high) in NBB_CAPS.items():
+            for n in range(low, high + 1):
+                for base in enumerate_nbb_bases_top(n, ambient):
+                    assert is_spanning_tree(base, n), base
+                    assert not any(atoms_cross(a, b)
+                                   for a, b in combinations(base, 2)), base
+                    if n == 1:  # the empty base has no root edge
+                        continue
+                    one, rest = split_at_root_edge(base, n)
+                    # an initial segment against its complement
+                    assert one == set(range(1, max(one) + 1))
+                    assert rest == set(range(max(one) + 1, n + 1))
+
+    def test_tree_check_rejects(self):
+        assert not is_spanning_tree((Atom(1, 2), Atom(1, 2)), 3)  # disconnected
+        assert not is_spanning_tree((Atom(1, 2),), 3)  # too few edges
+        assert is_spanning_tree((Atom(1, 3), Atom(2, 3)), 3)
 
     def test_fourteen_trees_at_5(self):
         bases = enumerate_nbb_bases_top(5, "nc")
         assert len(bases) == 14
-        assert len({base_to_tree(b, 5).edges for b in bases}) == 14
-
-    def test_non_tree_rejected(self):
-        with pytest.raises(BuildError):
-            base_to_tree((Atom(1, 2), Atom(1, 2)), 3)
+        assert len({frozenset(b) for b in bases}) == 14
 
     def test_dot_output(self):
-        dot = base_to_tree((Atom(1, 2), Atom(1, 3)), 3).to_dot()
-        assert "1 -- 2" in dot and "1 -- 3" in dot
+        """The edges in sorted order, whatever the order of the atoms."""
+        assert base_dot((Atom(1, 3), Atom(1, 2))) == (
+            "graph nctree {\n  node [shape=circle];\n  1 -- 2;\n  1 -- 3;\n}\n")
+        assert base_dot(()) == "graph nctree {\n  node [shape=circle];\n}\n"
 
 
 class TestClassification:
@@ -296,8 +329,9 @@ class TestClassification:
     @pytest.mark.parametrize("n", range(4, 10))
     def test_tree_criterion_equals_pe_join(self, n):
         """On every base whose atoms other than {1, n} all lie in PE,
-        class R (n's only tree neighbor is 1) holds iff those atoms
-        PE-join to the top; such bases are never S1 or S2."""
+        class R ({1, n} is the only atom holding n, so in the tree n's
+        only neighbour is 1) holds iff those atoms PE-join to the top;
+        such bases are never S1 or S2."""
         root, pe, top = Atom(1, n), ranked_atoms(n, "pe"), SetPartition.top(n)
         checked = 0
         for base in enumerate_nbb_bases_top(n, "nc"):
@@ -305,7 +339,7 @@ class TestClassification:
             if not all(a in pe for a in rest):
                 continue
             joins_top = ambient_join(rest, n, "pe") == top
-            assert (base_to_tree(base, n).neighbors(n) == [1]) == joins_top
+            assert (reached(rest, n) == {n}) == joins_top
             assert classify_base(base, n) == ("R" if joins_top else "kept")
             checked += 1
         census = classification_census(n)  # its R count includes S1

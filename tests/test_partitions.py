@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpe.builders import enumerate_noncrossing, enumerate_partitions
+from ncpe.builders import build_pi, enumerate_noncrossing, enumerate_partitions
 from ncpe.partitions import (MAX_N, PartitionError, SetPartition, nc_closure,
                              nc_join, parse_partition)
 from reference import (labelled_join_partition, labelled_nc_closure,
@@ -86,9 +86,8 @@ class TestOrder:
         assert not parse_partition("12|34").leq_dref(parse_partition("14|23"))
 
     def test_rank_is_n_minus_blocks(self):
-        assert parse_partition("14|23").rank() == 2
-        assert SetPartition.bottom(5).rank() == 0
-        assert SetPartition.top(5).rank() == 4
+        p = build_pi(5)
+        assert all(p.height[i] == 5 - len(x.blocks) for i, x in enumerate(p.keys))
 
     def test_merge_rejects_out_of_range(self):
         x = parse_partition("14|23")
@@ -229,7 +228,7 @@ class TestOracle:
             assert SetPartition.of(n, reversed(x.blocks)) == x
             assert x.is_noncrossing == oracle_is_noncrossing(x)
             assert nc_closure(x) == oracle_nc_closure(x)
-            assert x.rank() == n - len(x.blocks)
+            assert len(x.blocks) == max(x.code) + 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_binary_operations(self, n):
